@@ -18,10 +18,9 @@ Quickstart::
     print(fig5.report(results))
 
 Subpackages load lazily (PEP 562): ``repro.core`` and everything it
-needs import without numpy (the pure-python selection backend is a
-first-class configuration, see :mod:`repro.core.backend`), while the
-numerical subpackages (traces, sensors, workload, experiments) pull in
-numpy only when actually used.
+needs -- selection included, which is pure python -- import without
+numpy, while the numerical subpackages (traces, sensors, workload,
+experiments) pull in numpy only when actually used.
 """
 
 import importlib

@@ -17,7 +17,6 @@ Public surface:
 """
 
 from .angular import AngularInterval, ArcSet, angle_difference, merge_segments, normalize_angle
-from .backend import active_backend, numpy_available, set_backend, use_backend
 from .coverage import (
     DEFAULT_EFFECTIVE_ANGLE,
     CoverageValue,
@@ -62,10 +61,6 @@ __all__ = [
     "angle_difference",
     "merge_segments",
     "normalize_angle",
-    "active_backend",
-    "numpy_available",
-    "set_backend",
-    "use_backend",
     "DEFAULT_EFFECTIVE_ANGLE",
     "CoverageValue",
     "aspect_coverage",

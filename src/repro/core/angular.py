@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from . import backend as _backend
-
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
@@ -66,14 +64,11 @@ def merge_segments(segments: Iterable[Tuple[float, float]]) -> List[Tuple[float,
     arithmetic beyond comparisons, so the batched and incremental paths
     produce bit-identical segment lists.
 
-    Empty and inverted segments are dropped.  With the numpy backend
-    active, large batches use a vectorized cumulative-maximum merge.
+    Empty and inverted segments are dropped.
     """
     segs = [(lo, hi) for lo, hi in segments if hi > lo]
     if len(segs) <= 1:
         return segs
-    if len(segs) >= 64 and _backend.active_backend() == "numpy":
-        return _merge_segments_numpy(segs)
     segs.sort()
     merged: List[Tuple[float, float]] = []
     cur_lo, cur_hi = segs[0]
@@ -85,22 +80,6 @@ def merge_segments(segments: Iterable[Tuple[float, float]]) -> List[Tuple[float,
             cur_hi = hi
     merged.append((cur_lo, cur_hi))
     return merged
-
-
-def _merge_segments_numpy(segs: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Vectorized interval-union sweep (cumulative max over sorted starts)."""
-    np = _backend.get_numpy()
-    arr = np.asarray(segs, dtype=np.float64)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    lo = arr[order, 0]
-    hi = arr[order, 1]
-    reach = np.maximum.accumulate(hi)
-    starts = np.empty(len(lo), dtype=bool)
-    starts[0] = True
-    starts[1:] = lo[1:] > reach[:-1]
-    start_idx = np.flatnonzero(starts)
-    end_idx = np.append(start_idx[1:], len(lo)) - 1
-    return list(zip(lo[start_idx].tolist(), reach[end_idx].tolist()))
 
 
 @dataclass(frozen=True)

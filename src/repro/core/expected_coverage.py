@@ -27,6 +27,12 @@ one frozen, the marginal expected gain of adding a photo to the free node
 reduces to ``p_free * integral of the background survival function`` over
 the newly covered aspect range -- evaluated lazily per PoI the candidate
 photo covers.
+
+Everything here runs in pure python.  :class:`SelectionEvaluator` also
+takes ``backend="numpy"``, an opt-in vectorized twin of its profiles (numpy
+is imported only then); nothing in the package selects it, and it is kept
+only as a differentially tested alternative, together with
+:func:`_expected_aspect_for_poi_numpy`, the twin of the endpoint sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import backend as _backend
 from .angular import TWO_PI, ArcSet
 from .coverage import CoverageValue
 from .coverage_index import CoverageIndex
@@ -50,6 +55,19 @@ __all__ = [
     "expected_coverage_sampled",
     "SelectionEvaluator",
 ]
+
+BACKENDS = ("python", "numpy")
+
+
+def _numpy_module():
+    """The numpy module, imported on first use of the numpy backend."""
+    try:
+        import numpy
+    except ImportError as exc:  # pragma: no cover - numpy-free interpreters
+        raise RuntimeError(
+            "the numpy backend was requested but numpy is not importable"
+        ) from exc
+    return numpy
 
 
 @dataclass
@@ -148,11 +166,19 @@ def _contains_tolerance_mask(np, mids, arcs: ArcSet):
 def _expected_aspect_for_poi_numpy(
     poi,
     contributions: Sequence[Tuple[float, ArcSet]],
-    restriction: Optional[List[Tuple[float, float]]],
-    endpoints: List[float],
 ) -> float:
     """Vectorized form of the endpoint sweep below (same cuts, same products)."""
-    np = _backend.get_numpy()
+    np = _numpy_module()
+    restriction = _restriction_segments(poi)
+    endpoints = [0.0, TWO_PI]
+    for _, arcs in contributions:
+        for lo, hi in arcs.segments():
+            endpoints.append(lo)
+            endpoints.append(hi)
+    if restriction is not None:
+        for lo, hi in restriction:
+            endpoints.append(lo)
+            endpoints.append(hi)
     cuts = np.unique(np.asarray(endpoints, dtype=np.float64))
     widths = np.diff(cuts)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
@@ -180,22 +206,9 @@ def _expected_aspect_for_poi(
     per node covering this PoI.  The circle is cut at every arc endpoint;
     inside an elementary segment the set of covering nodes is constant, so
     the coverage probability is ``1 - prod (1 - p_i)`` over exactly those
-    nodes.  Large sweeps dispatch to the vectorized kernel when the numpy
-    backend is active; the scalar sweep below is the reference.
+    nodes.
     """
     restriction = _restriction_segments(poi)
-    if _backend.active_backend() == "numpy":
-        endpoints = [0.0, TWO_PI]
-        for _, arcs in contributions:
-            for lo, hi in arcs.segments():
-                endpoints.append(lo)
-                endpoints.append(hi)
-        if restriction is not None:
-            for lo, hi in restriction:
-                endpoints.append(lo)
-                endpoints.append(hi)
-        if len(endpoints) >= _backend.NUMPY_SWEEP_CUTOVER:
-            return _expected_aspect_for_poi_numpy(poi, contributions, restriction, endpoints)
     breakpoints = {0.0, TWO_PI}
     for _, arcs in contributions:
         for lo, hi in arcs.segments():
@@ -355,12 +368,6 @@ class _PoIBackground:
     (1 - p_i)`` -- zero wherever a certain node covers.  Stored as sorted
     elementary segments ``(lo, hi, survival)`` spanning ``[0, 2*pi]``.
     ``point_survival`` is the same product for point coverage.
-
-    *zero_arcs* (the ``rebuild`` evaluator strategy) forces the survival
-    to zero inside the given arcs: aspects the free node's tentative
-    selection already covers contribute no further gain, so zeroing them
-    here is equivalent to -- and replaces -- passing them as *exclude*
-    segments to every :meth:`integrate_survival` query.
     """
 
     __slots__ = ("segments", "point_survival", "restriction", "weight")
@@ -370,7 +377,6 @@ class _PoIBackground:
         poi,
         contributions: Sequence[Tuple[float, ArcSet]],
         point_survival: float,
-        zero_arcs: Optional[ArcSet] = None,
     ) -> None:
         self.point_survival = point_survival
         self.restriction = _restriction_segments(poi)
@@ -380,19 +386,12 @@ class _PoIBackground:
             for lo, hi in arcs.segments():
                 breakpoints.add(lo)
                 breakpoints.add(hi)
-        if zero_arcs is not None:
-            for lo, hi in zero_arcs.segments():
-                breakpoints.add(lo)
-                breakpoints.add(hi)
         cuts = sorted(breakpoints)
         self.segments: List[Tuple[float, float, float]] = []
         for lo, hi in zip(cuts, cuts[1:]):
             if hi - lo <= 1e-15:
                 continue
             mid = 0.5 * (lo + hi)
-            if zero_arcs is not None and zero_arcs.contains(mid):
-                self.segments.append((lo, hi, 0.0))
-                continue
             survival = 1.0
             for probability, arcs in contributions:
                 if arcs.contains(mid):
@@ -449,11 +448,11 @@ class _PoIBackground:
 class _NumpyPoIBackground:
     """Vectorized twin of :class:`_PoIBackground` built on a prefix integral.
 
-    The survival density is restricted (the PoI's important aspects) and
-    zeroed (the free node's tentative selection) **at build time**, so the
-    antiderivative ``F(v) = integral_0^v density`` is piecewise linear and
-    one gain query is ``F(hi) - F(lo)`` -- two ``searchsorted`` lookups,
-    batchable over every candidate photo of a selection pool at once.
+    The survival density is restricted to the PoI's important aspects at
+    build time, so the antiderivative ``F(v) = integral_0^v density`` is
+    piecewise linear and one gain query is ``F(hi) - F(lo)`` -- two
+    ``searchsorted`` lookups, batchable over every candidate photo of a
+    selection pool at once.
     """
 
     __slots__ = (
@@ -473,9 +472,8 @@ class _NumpyPoIBackground:
         poi,
         contributions: Sequence[Tuple[float, ArcSet]],
         point_survival: float,
-        zero_arcs: Optional[ArcSet] = None,
     ) -> None:
-        np = _backend.get_numpy()
+        np = _numpy_module()
         self._np = np
         self.point_survival = point_survival
         self.weight = poi.weight
@@ -483,10 +481,6 @@ class _NumpyPoIBackground:
         endpoints = [0.0, TWO_PI]
         for _, arcs in contributions:
             for lo, hi in arcs.segments():
-                endpoints.append(lo)
-                endpoints.append(hi)
-        if zero_arcs is not None:
-            for lo, hi in zero_arcs.segments():
                 endpoints.append(lo)
                 endpoints.append(hi)
         if restriction is not None:
@@ -505,8 +499,6 @@ class _NumpyPoIBackground:
             for r_lo, r_hi in restriction:
                 inside |= (mids >= r_lo) & (mids <= r_hi)
             dens = np.where(inside, dens, 0.0)
-        if zero_arcs is not None:
-            dens = np.where(_contains_tolerance_mask(np, mids, zero_arcs), 0.0, dens)
         self._cuts = cuts
         self._dens = dens
         prefix = np.empty(len(cuts), dtype=np.float64)
@@ -550,9 +542,9 @@ class _NumpyPoIBackground:
     def integrate_survival(self, lo: float, hi: float, exclude) -> float:
         """Scalar-compatible form of :class:`_PoIBackground.integrate_survival`.
 
-        *exclude* (sorted disjoint segments, from the ``incremental``
-        strategy) is handled by linearity: subtract the integral over each
-        exclusion's overlap with ``[lo, hi]``.
+        *exclude* (sorted disjoint segments) is handled by linearity:
+        subtract the integral over each exclusion's overlap with
+        ``[lo, hi]``.
         """
         total = self.integral_scalar(lo, hi)
         if exclude:
@@ -582,25 +574,13 @@ class SelectionEvaluator:
       covers.
 
     Background survival profiles are built lazily per PoI, only when some
-    candidate photo actually covers that PoI.
+    candidate photo actually covers that PoI, and stay frozen: committed
+    photos enter later queries as *exclude* segments instead.
 
-    Two orthogonal knobs (both resolved adaptively by default, see
-    :mod:`repro.core.backend`):
-
-    * *backend* -- ``python`` scalar sweeps (:class:`_PoIBackground`, the
-      reference) or ``numpy`` prefix-integral profiles
-      (:class:`_NumpyPoIBackground`) with :meth:`gain_of_batch` evaluating
-      a whole candidate pool in vectorized form.  Pools smaller than
-      ``backend.NUMPY_POOL_CUTOVER`` fall back to scalar even when numpy
-      is active: array setup costs more than it saves there.
-    * *strategy* -- how the free node's tentative selection enters gain
-      queries.  ``incremental`` keeps the background profiles frozen and
-      subtracts the selected arcs as *exclude* segments per query (the
-      seed behavior); ``rebuild`` drops a PoI's profile whenever a commit
-      touches it and lazily rebuilds it with the selected arcs zeroed into
-      the survival density, making every subsequent query exclude-free.
-      Both are mathematically identical; they differ only in which side of
-      the query/commit ledger pays.
+    *backend* ``numpy`` swaps the scalar profiles for prefix-integral ones
+    (:class:`_NumpyPoIBackground`), with :meth:`gain_of_batch` answering a
+    whole candidate pool in vectorized form.  It is opt-in only; the
+    default ``python`` path is the one every simulation runs.
     """
 
     def __init__(
@@ -608,25 +588,19 @@ class SelectionEvaluator:
         index: CoverageIndex,
         background: Sequence[NodeProfile],
         free_probability: float,
-        strategy: Optional[str] = None,
-        backend: Optional[str] = None,
-        pool_size_hint: Optional[int] = None,
+        backend: str = "python",
     ) -> None:
         if not 0.0 <= free_probability <= 1.0:
             raise ValueError(f"free_probability must be in [0, 1], got {free_probability}")
         self.index = index
         self.free_probability = free_probability
-        resolved = backend if backend is not None else _backend.active_backend()
-        if resolved not in _backend.BACKENDS:
-            raise ValueError(f"unknown backend {resolved!r}; choose one of {_backend.BACKENDS}")
-        if resolved == "numpy":
-            _backend.get_numpy()  # raises the actionable error when absent
-            if pool_size_hint is not None and pool_size_hint < _backend.NUMPY_POOL_CUTOVER:
-                resolved = "python"  # adaptive cutover: tiny pools stay scalar
-        self.backend = resolved
-        self.strategy = _backend.resolve_strategy(strategy, resolved, pool_size_hint)
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; choose one of {BACKENDS}")
+        if backend == "numpy":
+            _numpy_module()  # raises the actionable error when numpy is absent
+        self.backend = backend
         self._profile_class = (
-            _NumpyPoIBackground if resolved == "numpy" else _PoIBackground
+            _NumpyPoIBackground if self.backend == "numpy" else _PoIBackground
         )
         self._background = list(background)
         self._profiles: Dict[int, object] = {}
@@ -647,26 +621,16 @@ class SelectionEvaluator:
     def _profile_for(self, poi_id: int):
         profile = self._profiles.get(poi_id)
         if profile is None:
-            zero_arcs = (
-                self._selected_arcs.get(poi_id) if self.strategy == "rebuild" else None
-            )
             profile = self._profile_class(
                 self.index.pois[poi_id],
                 self._contributions.get(poi_id, ()),
                 self._point_survival.get(poi_id, 1.0),
-                zero_arcs=zero_arcs,
             )
             self._profiles[poi_id] = profile
         return profile
 
     def _exclude_for(self, poi_id: int):
-        """The query-time exclusion segments, or ``None``.
-
-        Under ``rebuild`` the selected arcs are already zeroed into the
-        profile, so queries never exclude anything.
-        """
-        if self.strategy == "rebuild":
-            return None
+        """The free node's selected segments at *poi_id*, or ``None``."""
         selected = self._selected_arcs.get(poi_id)
         return None if selected is None else selected.segments_list()
 
@@ -703,12 +667,12 @@ class SelectionEvaluator:
         return CoverageValue(point_gain * p, aspect_gain * p)
 
     def gain_of_batch(self, photos: Sequence[Photo]) -> List[CoverageValue]:
-        """Marginal gains of every photo in *photos* against the same state.
+        """Marginal gains of every photo in *photos* against the same state
+        (the initial pool scan of greedy selection).
 
         Semantically ``[self.gain_of(p) for p in photos]``; the numpy
         backend answers all aspect-integral queries of the whole batch
-        with a handful of vectorized prefix lookups per touched PoI.  This
-        is the initial-pool-scan primitive of greedy selection.
+        with a handful of vectorized prefix lookups per touched PoI.
         """
         if self.backend != "numpy":
             return [self.gain_of(photo) for photo in photos]
@@ -747,7 +711,7 @@ class SelectionEvaluator:
         return CoverageValue(point_gain * p, aspect_gain * p)
 
     def _gain_numpy_batch(self, photos: Sequence[Photo]) -> List[CoverageValue]:
-        np = _backend.get_numpy()
+        np = _numpy_module()
         count = len(photos)
         if self.free_probability <= 0.0 or count == 0:
             return [CoverageValue.ZERO] * count
@@ -783,9 +747,9 @@ class SelectionEvaluator:
             profile = self._profile_for(poi_id)
             exclude = self._exclude_for(poi_id)
             if exclude:
-                # Incremental strategy with a live selection: fall back to
-                # the scalar exclusion path per query (batch evaluation is
-                # only hot on the initial scan, where nothing is selected).
+                # A live selection: fall back to the scalar exclusion path
+                # per query (batch evaluation is only hot on the initial
+                # scan, where nothing is selected).
                 for qi in indices:
                     integrals[qi] = profile.integrate_survival(q_lo[qi], q_hi[qi], exclude)
                 continue
@@ -816,16 +780,9 @@ class SelectionEvaluator:
                 self._selected_arcs[poi_id] = arcset
             for lo, hi in segments:
                 arcset.add_segment(lo, hi)
-            if self.strategy == "rebuild":
-                # The profile's zeroed region changed; rebuild lazily on
-                # the next query that touches this PoI.
-                self._profiles.pop(poi_id, None)
         return gain
 
     def selection_profile(self, node_id: int, photos: Iterable[Photo]) -> NodeProfile:
         """Package the final selection as a :class:`NodeProfile` so it can be
         frozen into the background of the next selection phase."""
         return build_node_profile(self.index, node_id, photos, self.free_probability)
-
-
-_EMPTY_ARCS = ArcSet()

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs.runtime import active_telemetry
 from .coverage import CoverageValue
 from .coverage_index import CoverageIndex
-from .expected_coverage import NodeProfile, SelectionEvaluator
+from .expected_coverage import NodeProfile, SelectionEvaluator, build_node_profile
 from .metadata import Photo
 
 __all__ = [
@@ -121,9 +121,7 @@ def greedy_select(
     when *require_positive_gain* -- no photo strictly improves expected
     coverage.
     """
-    evaluator = SelectionEvaluator(
-        index, background, storage.delivery_probability, pool_size_hint=len(pool)
-    )
+    evaluator = SelectionEvaluator(index, background, storage.delivery_probability)
     selection = NodeSelection(node_id=storage.node_id)
     budget = storage.capacity_bytes
 
@@ -138,9 +136,7 @@ def greedy_select(
     # grows -- see SelectionEvaluator.gain_of), so a max-heap of possibly
     # stale gains is exact: when the top entry's gain is fresh it is the
     # true argmax.  Heap keys order by lexicographic gain (descending),
-    # then smaller photo, then smaller id for determinism.  The initial
-    # scan is one batched evaluation -- on the numpy backend the whole
-    # pool's aspect integrals vectorize per PoI.
+    # then smaller photo, then smaller id for determinism.
     heap: List[Tuple[float, float, int, int, Photo]] = []
     initial_gains = evaluator.gain_of_batch(pool)
     gain_evaluations += len(pool)
@@ -189,8 +185,6 @@ def greedy_select(
             selected=len(selection.photos),
             elapsed_s=perf_counter() - started,
             enumeration_s=enumeration_s,
-            backend=evaluator.backend,
-            strategy=evaluator.strategy,
         )
     return selection
 
@@ -201,8 +195,6 @@ def greedy_select_reference(
     storage: StorageSpec,
     background: Sequence[NodeProfile],
     require_positive_gain: bool = True,
-    strategy: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> NodeSelection:
     """Naive evaluate-all-candidates greedy: the full-rebuild reference.
 
@@ -215,9 +207,9 @@ def greedy_select_reference(
     rebuild per round.
 
     This is the oracle :func:`greedy_select` is tested byte-identical
-    against (same *strategy*/*backend* implies bitwise-equal gain values,
-    and submodularity makes the CELF heap pick the same argmax), and the
-    pure-python baseline ``scripts/bench_core.py`` measures speedups over.
+    against: both query the same evaluator arithmetic, so gain values are
+    bitwise equal, and submodularity makes the CELF heap pick the same
+    argmax.
     """
     selection = NodeSelection(node_id=storage.node_id)
     budget = storage.capacity_bytes
@@ -227,18 +219,10 @@ def greedy_select_reference(
     started = perf_counter() if telemetry is not None else 0.0
     gain_evaluations = 0
     iterations = 0
-    evaluator = None
 
     while remaining:
         iterations += 1
-        evaluator = SelectionEvaluator(
-            index,
-            background,
-            storage.delivery_probability,
-            strategy=strategy,
-            backend=backend,
-            pool_size_hint=len(pool),
-        )
+        evaluator = SelectionEvaluator(index, background, storage.delivery_probability)
         for photo in selection.photos:
             evaluator.add(photo)
         best = None
@@ -271,8 +255,6 @@ def greedy_select_reference(
             selected=len(selection.photos),
             elapsed_s=perf_counter() - started,
             enumeration_s=0.0,
-            backend=evaluator.backend if evaluator is not None else "python",
-            strategy="reference",
         )
     return selection
 
@@ -303,13 +285,7 @@ def greedy_reallocate(
 
     first = greedy_select(index, pool, first_spec, background)
 
-    first_profile = NodeProfile(
-        node_id=first_spec.node_id,
-        delivery_probability=first_spec.delivery_probability,
-    )
     # Freeze the first node's selection into the background of the second.
-    from .expected_coverage import build_node_profile
-
     first_profile = build_node_profile(
         index, first_spec.node_id, first.photos, first_spec.delivery_probability
     )

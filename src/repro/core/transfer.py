@@ -127,6 +127,10 @@ def execute_transfer_plan(
     collections: Dict[int, List[Photo]] = {
         node_id: list(photos) for node_id, photos in holdings.items()
     }
+    # Running per-node byte tally, kept in step with *collections*.
+    used_bytes: Dict[int, int] = {
+        node_id: sum(p.size_bytes for p in photos) for node_id, photos in collections.items()
+    }
     target_ids = {
         result.first.node_id: result.first.photo_ids(),
         result.second.node_id: result.second.photo_ids(),
@@ -147,7 +151,11 @@ def execute_transfer_plan(
         receiver = transfer.receiver_id
         capacity = capacities.get(receiver)
         if capacity is not None:
-            if not _make_room(collections[receiver], target_ids[receiver], capacity, size):
+            used = _make_room(
+                collections[receiver], target_ids[receiver], capacity, size, used_bytes[receiver]
+            )
+            used_bytes[receiver] = used
+            if used + size > capacity:
                 # Could not make room without evicting a target photo; skip.
                 skipped_no_room += 1
                 continue
@@ -157,6 +165,7 @@ def execute_transfer_plan(
             bytes_used += size
             continue
         collections[receiver].append(transfer.photo)
+        used_bytes[receiver] += size
         completed.append(transfer)
         bytes_used += size
 
@@ -196,11 +205,15 @@ def _make_room(
     target_ids: Set[int],
     capacity: int,
     incoming_size: int,
-) -> bool:
-    """Evict non-target photos until *incoming_size* fits; False if impossible."""
-    used = sum(p.size_bytes for p in collection)
+    used: int,
+) -> int:
+    """Evict non-target photos until *incoming_size* fits.
+
+    *used* is the bytes *collection* holds; returns the bytes it holds
+    afterwards (still too many when only target photos were left).
+    """
     if used + incoming_size <= capacity:
-        return True
+        return used
     evictable = sorted(
         (p for p in collection if p.photo_id not in target_ids),
         key=lambda p: p.photo_id,
@@ -209,4 +222,4 @@ def _make_room(
         victim = evictable.pop()
         collection.remove(victim)
         used -= victim.size_bytes
-    return used + incoming_size <= capacity
+    return used

@@ -19,7 +19,15 @@ class NodeStorage:
     Photos are keyed by ``photo_id``; insertion order is preserved (useful
     for FIFO drop policies).  ``capacity_bytes=None`` means unlimited (the
     command center and the BestPossible scheme use this).
+
+    ``generation`` counts :meth:`replace_all` calls, so an index a caller
+    derives from the collection (the coverage scheme's eviction heap) can
+    tell when the collection was swapped out from under it.
     """
+
+    #: Class-level default: storages pickled before the counter existed
+    #: restore at generation 0.
+    generation = 0
 
     def __init__(self, capacity_bytes: Optional[int] = None) -> None:
         if capacity_bytes is not None and capacity_bytes < 0:
@@ -72,6 +80,7 @@ class NodeStorage:
             raise ValueError(f"collection of {total} B exceeds capacity {self.capacity_bytes} B")
         self._photos = {p.photo_id: p for p in photo_list}
         self._used = sum(p.size_bytes for p in self._photos.values())
+        self.generation += 1
 
     def photos(self) -> List[Photo]:
         """The stored photos, insertion-ordered (a copy)."""

@@ -20,11 +20,17 @@ storage.
 **NoMetadata** ablation: no third-party metadata is cached or used, so
 the node set M degenerates to the two contact participants (plus the
 command center itself during uplinks).
+
+The scheme keeps two kinds of derived state, both rebuilt on demand and
+left out of pickles (service snapshots): a per-node eviction heap and a
+per-node memo of background profiles.  Neither changes any decision; they
+only avoid recomputing what the previous event already computed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import heapq
+from typing import Dict, List, Tuple
 
 from ..core.expected_coverage import NodeProfile, build_node_profile
 from ..core.metadata import Photo
@@ -42,6 +48,9 @@ __all__ = ["CoverageSelectionScheme", "NoMetadataScheme"]
 @register_scheme("no-metadata", use_metadata_cache=False)
 class CoverageSelectionScheme(RoutingScheme):
     """Our scheme (or NoMetadata when *use_metadata_cache* is off)."""
+
+    #: Background profiles memoized per node (see :meth:`_profile`).
+    PROFILE_SLOTS = 4
 
     def __init__(
         self,
@@ -67,6 +76,23 @@ class CoverageSelectionScheme(RoutingScheme):
         #: real probability differences keep dominating the ordering.
         self.min_delivery_probability = min_delivery_probability
         self.name = "our-scheme" if use_metadata_cache else "no-metadata"
+        self._reset_derived_state()
+
+    def _reset_derived_state(self) -> None:
+        #: node id -> (storage generation, min-heap of eviction keys).
+        self._eviction_heaps: Dict[int, Tuple[int, List[tuple]]] = {}
+        #: node id -> [(photos, probability, profile built from them)],
+        #: least recently used first.
+        self._profile_memo: Dict[int, List[Tuple[Tuple[Photo, ...], float, NodeProfile]]] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_eviction_heaps"], state["_profile_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_derived_state()
 
     def _selection_probability(self, node: "DTNNode", now: float) -> float:
         return max(node.delivery_probability(now), self.min_delivery_probability)
@@ -86,22 +112,48 @@ class CoverageSelectionScheme(RoutingScheme):
             return
         if node.storage.fits(photo):
             node.storage.add(photo)
+            built = self._eviction_heaps.get(node.node_id)
+            if built is not None and built[0] == node.storage.generation:
+                heapq.heappush(built[1], self._eviction_key(photo))
             return
-        incidences = len(self.sim.incidences(photo))
-        victim = self._least_useful(node)
-        if victim is None:
+        heap = self._eviction_heap(node)
+        if not heap:
             return
-        victim_incidences = len(self.sim.incidences(victim))
-        if incidences > victim_incidences:
+        key = self._eviction_key(photo)
+        victim_incidences, _, victim = heap[0]
+        if key[0] > victim_incidences:
+            heapq.heappop(heap)
             node.storage.remove(victim.photo_id)
             if node.storage.fits(photo):
                 node.storage.add(photo)
+                heapq.heappush(heap, key)
 
-    def _least_useful(self, node: DTNNode) -> Optional[Photo]:
-        photos = node.storage.photos()
-        if not photos:
-            return None
-        return min(photos, key=lambda p: (len(self.sim.incidences(p)), -p.photo_id))
+    def _eviction_key(self, photo: Photo) -> tuple:
+        """Eviction order: fewest covered PoIs first, then the newest photo.
+
+        The key is unique per photo and never changes, so a heap of keys
+        always yields the photo a full ``min()`` scan would.
+        """
+        return (len(self.sim.incidences(photo)), -photo.photo_id, photo)
+
+    def _eviction_heap(self, node: DTNNode) -> List[tuple]:
+        """*node*'s eviction heap, its top the current least useful photo.
+
+        Photo creation pushes onto the heap and eviction pops from it; a
+        :meth:`NodeStorage.replace_all` (contact, uplink, crash) bumps the
+        storage generation and the heap is rebuilt on its next use.
+        """
+        storage = node.storage
+        built = self._eviction_heaps.get(node.node_id)
+        if built is None or built[0] != storage.generation:
+            heap = [self._eviction_key(photo) for photo in storage.photos()]
+            heapq.heapify(heap)
+            self._eviction_heaps[node.node_id] = (storage.generation, heap)
+            return heap
+        heap = built[1]
+        while heap and heap[0][2].photo_id not in storage:
+            heapq.heappop(heap)  # lazily drop photos that left storage
+        return heap
 
     # ------------------------------------------------------------------
     # Node-node contacts
@@ -182,10 +234,34 @@ class CoverageSelectionScheme(RoutingScheme):
             probability = 1.0 if entry.node_id == self.sim.config.command_center_id else (
                 entry.delivery_probability
             )
-            profiles.append(
-                build_node_profile(self.sim.index, entry.node_id, entry.photos, probability)
-            )
+            profiles.append(self._profile(entry.node_id, entry.photos, probability))
         return profiles
+
+    def _profile(self, node_id: int, photos: Tuple[Photo, ...], probability: float) -> NodeProfile:
+        """:func:`build_node_profile`, memoized per node.
+
+        A profile depends only on the node, its photos and the probability,
+        so it is reused for as long as a node's photos stay the same --
+        across contacts, across caches, and across the fresh snapshot a
+        node hands out at every contact.  Snapshots share photos by
+        reference, so comparing them is mostly identity checks.  A snapshot
+        time is no key: a corrupted copy of a snapshot keeps the original's
+        time but loses photos.  Each node keeps its :attr:`PROFILE_SLOTS`
+        most recently used profiles: different caches hold different
+        generations of one node's snapshot, and contacts alternate between
+        them.
+        """
+        slots = self._profile_memo.setdefault(node_id, [])
+        for i, (known, known_probability, profile) in enumerate(slots):
+            if known_probability == probability and known == photos:
+                if i != len(slots) - 1:
+                    slots.append(slots.pop(i))
+                return profile
+        profile = build_node_profile(self.sim.index, node_id, photos, probability)
+        slots.append((photos, probability, profile))
+        if len(slots) > self.PROFILE_SLOTS:
+            del slots[0]
+        return profile
 
     # ------------------------------------------------------------------
     # Gateway uplinks
@@ -196,9 +272,7 @@ class CoverageSelectionScheme(RoutingScheme):
     ) -> None:
         self.record_center_encounter(node, center, now)
 
-        center_profile = build_node_profile(
-            self.sim.index, center.node_id, center.storage.photos(), 1.0
-        )
+        center_profile = self._profile(center.node_id, tuple(center.storage.photos()), 1.0)
         background: List[NodeProfile] = [center_profile]
         if self.use_metadata_cache:
             node.cache.purge_stale(now)
@@ -206,9 +280,7 @@ class CoverageSelectionScheme(RoutingScheme):
                 now, exclude={node.node_id, center.node_id}
             ):
                 background.append(
-                    build_node_profile(
-                        self.sim.index, entry.node_id, entry.photos, entry.delivery_probability
-                    )
+                    self._profile(entry.node_id, entry.photos, entry.delivery_probability)
                 )
 
         # The command center selects, with probability 1, the photos that
@@ -234,9 +306,7 @@ class CoverageSelectionScheme(RoutingScheme):
 
         # Acknowledgment: the node re-selects its collection against the
         # command center's updated archive, dropping redundant photos.
-        ack_profile = build_node_profile(
-            self.sim.index, center.node_id, center.storage.photos(), 1.0
-        )
+        ack_profile = self._profile(center.node_id, tuple(center.storage.photos()), 1.0)
         node_background = [ack_profile] + background[1:]
         keep = greedy_select(
             self.sim.index,

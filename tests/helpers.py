@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import functools
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
 
+from repro.core import metadata as metadata_module
+from repro.core import selection as selection_module
 from repro.core.coverage_index import CoverageIndex
+from repro.core.expected_coverage import SelectionEvaluator
 from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoI, PoIList
+from repro.dtn.faults import FaultPlan
 
 MB = 1024 * 1024
 
@@ -87,3 +97,67 @@ def three_pois() -> PoIList:
 @pytest.fixture
 def three_poi_index(three_pois) -> CoverageIndex:
     return CoverageIndex(three_pois, effective_angle=math.radians(30.0))
+
+
+def result_digest(result) -> str:
+    """sha256 over everything a :class:`SimulationResult` records."""
+    payload = {
+        "scheme": result.scheme,
+        "samples": [
+            [s.time, s.point_coverage, s.aspect_coverage_deg, s.delivered_photos]
+            for s in result.samples
+        ],
+        "final": [result.final_coverage.point, result.final_coverage.aspect],
+        "delivered": result.delivered_photos,
+        "created": result.created_photos,
+        "contacts": result.contacts_processed,
+        "center_contacts": result.center_contacts,
+        "latencies": result.delivery_latencies_s,
+        "faults": result.fault_counters.as_dict(),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+#: A fault plan that exercises every recovery path selection depends on:
+#: truncated contacts, node crashes with partial storage loss, and
+#: corrupted (shrunk, aged) metadata snapshots.
+DISRUPTION_PLAN = FaultPlan(
+    seed=11,
+    truncation_probability=0.4,
+    crash_rate_per_node_hour=0.05,
+    mean_downtime_s=1800.0,
+    storage_loss_fraction=0.5,
+    metadata_corruption_probability=0.3,
+    metadata_aging_s=20_000.0,
+)
+
+
+def build_scenario(monkeypatch, scale: float, fault_plan=None):
+    """The Table-I scenario at *scale*, seed 0, under *fault_plan*.
+
+    Photo ids restart at 0 first: they come from a process-wide counter,
+    and PhotoNet's pseudo-colour hashes the id, so a run's result would
+    otherwise depend on how many photos earlier tests created.
+    """
+    # Imported here: repro.experiments needs numpy, and every other helper
+    # must stay importable by the core suites on a numpy-free interpreter.
+    from repro.experiments.config import ScenarioSpec
+
+    monkeypatch.setattr(metadata_module, "_photo_ids", itertools.count())
+    scenario = ScenarioSpec(scale=scale, seed=0).build()
+    config = dataclasses.replace(scenario.config, fault_plan=fault_plan)
+    return dataclasses.replace(scenario, config=config)
+
+
+@contextlib.contextmanager
+def selection_backend(name: str):
+    """Run :mod:`repro.core.selection`'s greedy selections on evaluator
+    backend *name* (``python`` or the opt-in ``numpy``) inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            selection_module,
+            "SelectionEvaluator",
+            functools.partial(SelectionEvaluator, backend=name),
+        )
+        yield

@@ -1,39 +1,25 @@
-"""Backend/strategy resolution: the knobs behind the selection hot path.
+"""Backend choice on :class:`repro.core.expected_coverage.SelectionEvaluator`.
 
-The contract under test is :mod:`repro.core.backend`'s resolution order
-(explicit override > ``REPRO_BACKEND`` > auto-detect), its refusal to
-silently degrade an explicit numpy request, and the adaptive cutovers
-:class:`repro.core.expected_coverage.SelectionEvaluator` applies from the
-pool-size hint.
+The evaluator runs pure python unless the caller explicitly asks for the
+``numpy`` backend; there is no environment variable, process-wide
+override or pool-size cutover that could pick numpy implicitly.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 
 import pytest
 
-from repro.core import backend
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import SelectionEvaluator
 from repro.core.geometry import Point
 from repro.core.poi import PoIList
 
-needs_numpy = pytest.mark.skipif(not backend.numpy_available(), reason="numpy not installed")
-
-
-@pytest.fixture(autouse=True)
-def _unforced():
-    """Every test starts and ends with automatic resolution."""
-    backend.set_backend(None)
-    yield
-    backend.set_backend(None)
-
-
-@pytest.fixture
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(backend.BACKEND_ENV, raising=False)
-    monkeypatch.delenv(backend.STRATEGY_ENV, raising=False)
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy not installed"
+)
 
 
 def _index() -> CoverageIndex:
@@ -42,134 +28,21 @@ def _index() -> CoverageIndex:
     )
 
 
-class TestActiveBackend:
-    def test_auto_detection_matches_numpy_availability(self, _clean_env):
-        expected = "numpy" if backend.numpy_available() else "python"
-        assert backend.active_backend() == expected
-
-    def test_environment_variable_overrides_auto(self, _clean_env, monkeypatch):
-        monkeypatch.setenv(backend.BACKEND_ENV, "python")
-        assert backend.active_backend() == "python"
-
-    def test_environment_value_is_normalized(self, _clean_env, monkeypatch):
-        monkeypatch.setenv(backend.BACKEND_ENV, "  PYTHON ")
-        assert backend.active_backend() == "python"
-
-    def test_set_backend_wins_over_environment(self, _clean_env, monkeypatch):
-        monkeypatch.setenv(backend.BACKEND_ENV, "python")
-        if backend.numpy_available():
-            backend.set_backend("numpy")
-            assert backend.active_backend() == "numpy"
-        backend.set_backend(None)
-        assert backend.active_backend() == "python"
-
-    def test_unknown_environment_backend_raises(self, _clean_env, monkeypatch):
-        monkeypatch.setenv(backend.BACKEND_ENV, "fortran")
-        with pytest.raises(ValueError, match="unknown backend"):
-            backend.active_backend()
-
-    def test_set_backend_rejects_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            backend.set_backend("cupy")
-
-    def test_use_backend_nests_and_restores(self, _clean_env):
-        outer = backend.active_backend()
-        with backend.use_backend("python") as name:
-            assert name == "python"
-            assert backend.active_backend() == "python"
-            if backend.numpy_available():
-                with backend.use_backend("numpy"):
-                    assert backend.active_backend() == "numpy"
-                assert backend.active_backend() == "python"
-        assert backend.active_backend() == outer
-
-    def test_use_backend_restores_on_exception(self, _clean_env):
-        before = backend.active_backend()
-        with pytest.raises(RuntimeError, match="boom"):
-            with backend.use_backend("python"):
-                raise RuntimeError("boom")
-        assert backend.active_backend() == before
-
-    def test_explicit_numpy_without_numpy_raises(self, _clean_env, monkeypatch):
-        monkeypatch.setattr(backend, "_numpy", None)
-        assert not backend.numpy_available()
-        with pytest.raises(RuntimeError, match="numpy is not importable"):
-            backend.set_backend("numpy")
-        monkeypatch.setenv(backend.BACKEND_ENV, "numpy")
-        with pytest.raises(RuntimeError, match="numpy is not importable"):
-            backend.active_backend()
-
-    def test_auto_detection_without_numpy_is_python(self, _clean_env, monkeypatch):
-        monkeypatch.setattr(backend, "_numpy", None)
-        assert backend.active_backend() == "python"
-
-
-class TestResolveStrategy:
-    def test_explicit_argument_wins(self, _clean_env):
-        assert backend.resolve_strategy("incremental", "numpy", 5) == "incremental"
-        assert backend.resolve_strategy("rebuild", "python", 10_000) == "rebuild"
-
-    def test_environment_wins_over_auto(self, _clean_env, monkeypatch):
-        monkeypatch.setenv(backend.STRATEGY_ENV, "incremental")
-        assert backend.resolve_strategy(None, "numpy", 5) == "incremental"
-
-    def test_argument_wins_over_environment(self, _clean_env, monkeypatch):
-        monkeypatch.setenv(backend.STRATEGY_ENV, "incremental")
-        assert backend.resolve_strategy("rebuild", "python", 10_000) == "rebuild"
-
-    def test_auto_numpy_always_rebuilds(self, _clean_env):
-        assert backend.resolve_strategy(None, "numpy", None) == "rebuild"
-        assert backend.resolve_strategy("auto", "numpy", 10_000) == "rebuild"
-
-    def test_auto_python_cutover_on_pool_size(self, _clean_env):
-        cutover = backend.REBUILD_POOL_CUTOVER
-        assert backend.resolve_strategy(None, "python", cutover) == "rebuild"
-        assert backend.resolve_strategy(None, "python", cutover + 1) == "incremental"
-        assert backend.resolve_strategy(None, "python", None) == "incremental"
-
-    def test_unknown_strategy_raises(self, _clean_env):
-        with pytest.raises(ValueError, match="unknown selection strategy"):
-            backend.resolve_strategy("lazy", "python", 10)
-
-
 class TestSelectionEvaluatorResolution:
-    def test_explicit_python_backend(self, _clean_env):
+    def test_default_backend_is_python(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        evaluator = SelectionEvaluator(_index(), (), 0.5)
+        assert evaluator.backend == "python"
+
+    def test_explicit_python_backend(self):
         evaluator = SelectionEvaluator(_index(), (), 0.5, backend="python")
         assert evaluator.backend == "python"
 
-    def test_unknown_backend_raises(self, _clean_env):
+    def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             SelectionEvaluator(_index(), (), 0.5, backend="fortran")
 
     @needs_numpy
-    def test_small_pool_downgrades_numpy_to_python(self, _clean_env):
-        small = backend.NUMPY_POOL_CUTOVER - 1
-        evaluator = SelectionEvaluator(
-            _index(), (), 0.5, backend="numpy", pool_size_hint=small
-        )
-        assert evaluator.backend == "python"
-
-    @needs_numpy
-    def test_large_pool_keeps_numpy(self, _clean_env):
-        evaluator = SelectionEvaluator(
-            _index(), (), 0.5, backend="numpy", pool_size_hint=backend.NUMPY_POOL_CUTOVER
-        )
-        assert evaluator.backend == "numpy"
-        assert evaluator.strategy == "rebuild"
-
-    @needs_numpy
-    def test_no_hint_keeps_numpy(self, _clean_env):
+    def test_no_hint_keeps_numpy(self):
         evaluator = SelectionEvaluator(_index(), (), 0.5, backend="numpy")
         assert evaluator.backend == "numpy"
-
-    def test_inherits_active_backend(self, _clean_env):
-        with backend.use_backend("python"):
-            evaluator = SelectionEvaluator(_index(), (), 0.5, pool_size_hint=1000)
-        assert evaluator.backend == "python"
-        assert evaluator.strategy == "incremental"
-
-    def test_strategy_argument_passthrough(self, _clean_env):
-        evaluator = SelectionEvaluator(
-            _index(), (), 0.5, backend="python", strategy="rebuild", pool_size_hint=10_000
-        )
-        assert evaluator.strategy == "rebuild"

@@ -13,19 +13,27 @@ three must agree within documented tolerances:
   error per PoI is at most 0.5/sqrt(N); with N = 4000 and 3 PoIs a 6-sigma
   band is ~0.14 in summed point coverage (aspect scales by 2*pi).
 
-A second family of differentials pits the ``numpy`` backend against the
-pure-python reference: the vectorized endpoint sweep, the prefix-integral
-``SelectionEvaluator`` profiles, and the batched ``gain_of_batch`` must
-all reproduce the scalar results -- to 1e-9 across backends (different
-summation orders), and **bitwise** between the scalar and batched paths
-of the numpy backend itself (the CELF heap mixes the two).  Everything in
-this module except the Monte-Carlo cross-check runs with numpy absent;
-the backend differentials then skip and the reference path is still fully
-exercised.
+The incremental ``SelectionEvaluator`` is checked against the sweep too:
+its marginal gain after any committed photos must equal the difference of
+two exact expected coverages, on PoIs with and without important-aspect
+restrictions.
+
+A second family of differentials pits the opt-in ``numpy`` twins against
+the pure-python path: the vectorized endpoint sweep (swapped into
+``expected_coverage`` by :func:`_numpy_sweep`) and the prefix-integral
+``SelectionEvaluator`` must reproduce the scalar results
+to 1e-9 (different summation orders), and the numpy evaluator's batched
+``gain_of_batch`` must equal its scalar ``gain_of`` **bitwise** (the CELF
+heap mixes the two).  Everything in this module except the numpy
+differentials and the Monte-Carlo cross-check (numpy-backed sampling)
+runs with numpy absent.
 """
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+import importlib.util
 import math
 import random
 
@@ -33,7 +41,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import backend
 from repro.core.angular import AngularInterval, ArcSet
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import (
@@ -49,10 +56,28 @@ from repro.core.poi import PoI, PoIList
 from helpers import photo_at_aspect
 
 needs_numpy = pytest.mark.skipif(
-    not backend.numpy_available(), reason="numpy not installed"
+    importlib.util.find_spec("numpy") is None, reason="numpy not installed"
 )
 
 THETA = math.radians(30.0)
+
+# ``repro.core.expected_coverage`` the attribute is the function; this is
+# the module.
+expected_coverage_module = importlib.import_module("repro.core.expected_coverage")
+
+
+@contextlib.contextmanager
+def _numpy_sweep():
+    """Make ``expected_coverage`` use the vectorized endpoint sweep."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            expected_coverage_module,
+            "_expected_aspect_for_poi",
+            expected_coverage_module._expected_aspect_for_poi_numpy,
+        )
+        yield
+
+
 
 POIS = [Point(0.0, 0.0), Point(500.0, 0.0), Point(0.0, 500.0)]
 
@@ -158,19 +183,6 @@ def _random_pool(rng: random.Random, size: int):
     ]
 
 
-def _forced_sweep(value: int):
-    """Temporarily lower NUMPY_SWEEP_CUTOVER so small cases vectorize too."""
-    class _Guard:
-        def __enter__(self):
-            self.previous = backend.NUMPY_SWEEP_CUTOVER
-            backend.NUMPY_SWEEP_CUTOVER = value
-
-        def __exit__(self, *exc):
-            backend.NUMPY_SWEEP_CUTOVER = self.previous
-
-    return _Guard()
-
-
 @needs_numpy
 class TestBackendSweepDifferential:
     """python vs numpy ``expected_coverage`` on randomized profiles."""
@@ -184,9 +196,8 @@ class TestBackendSweepDifferential:
         rng = random.Random(seed)
         index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
         profiles = _random_profiles(rng, index, m)
-        with backend.use_backend("python"):
-            reference = expected_coverage(index, profiles)
-        with _forced_sweep(0), backend.use_backend("numpy"):
+        reference = expected_coverage(index, profiles)
+        with _numpy_sweep():
             vectorized = expected_coverage(index, profiles)
         assert vectorized.point == pytest.approx(reference.point, rel=1e-9, abs=1e-12)
         assert vectorized.aspect == pytest.approx(reference.aspect, rel=1e-9, abs=1e-12)
@@ -200,7 +211,7 @@ class TestBackendSweepDifferential:
         index = _index()
         profiles = _random_profiles(random.Random(seed), index, m)
         enumerated = expected_coverage_enumerated(index, profiles)
-        with _forced_sweep(0), backend.use_backend("numpy"):
+        with _numpy_sweep():
             vectorized = expected_coverage(index, profiles)
         assert vectorized.point == pytest.approx(enumerated.point, rel=1e-9, abs=1e-12)
         assert vectorized.aspect == pytest.approx(enumerated.aspect, rel=1e-9, abs=1e-12)
@@ -213,10 +224,9 @@ class TestBackendEvaluatorDifferential:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         m=st.integers(min_value=1, max_value=16),
-        strategy=st.sampled_from(["incremental", "rebuild"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_gain_of_agrees_across_backends(self, seed, m, strategy):
+    def test_gain_of_agrees_across_backends(self, seed, m):
         rng = random.Random(seed)
         index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
         profiles = _random_profiles(rng, index, m)
@@ -226,13 +236,10 @@ class TestBackendEvaluatorDifferential:
 
         gains = {}
         for name in ("python", "numpy"):
-            with backend.use_backend(name):
-                evaluator = SelectionEvaluator(
-                    index, profiles, probability, strategy=strategy, backend=name
-                )
-                for photo in committed:
-                    evaluator.add(photo)
-                gains[name] = [evaluator.gain_of(photo) for photo in pool]
+            evaluator = SelectionEvaluator(index, profiles, probability, backend=name)
+            for photo in committed:
+                evaluator.add(photo)
+            gains[name] = [evaluator.gain_of(photo) for photo in pool]
         for reference, vectorized in zip(gains["python"], gains["numpy"]):
             assert vectorized.point == pytest.approx(reference.point, rel=1e-9, abs=1e-12)
             assert vectorized.aspect == pytest.approx(reference.aspect, rel=1e-9, abs=1e-12)
@@ -249,35 +256,43 @@ class TestBackendEvaluatorDifferential:
         index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
         profiles = _random_profiles(rng, index, m)
         pool = _random_pool(rng, rng.randint(1, 20))
-        with backend.use_backend("numpy"):
-            evaluator = SelectionEvaluator(
-                index, profiles, rng.uniform(0.05, 1.0), backend="numpy"
-            )
-            batched = evaluator.gain_of_batch(pool)
-            scalar = [evaluator.gain_of(photo) for photo in pool]
+        evaluator = SelectionEvaluator(
+            index, profiles, rng.uniform(0.05, 1.0), backend="numpy"
+        )
+        batched = evaluator.gain_of_batch(pool)
+        scalar = [evaluator.gain_of(photo) for photo in pool]
         for one, many in zip(scalar, batched):
             assert one.point == many.point
             assert one.aspect == many.aspect
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_strategies_agree_within_python_backend(self, seed):
-        """incremental exclude-bookkeeping == rebuild profile-zeroing."""
+
+class TestEvaluatorAgainstSweep:
+    """``SelectionEvaluator`` gains == exact expected-coverage deltas."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        m=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gain_matches_delta(self, seed, m):
         rng = random.Random(seed)
         index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
-        profiles = _random_profiles(rng, index, rng.randint(0, 6))
-        pool = _random_pool(rng, rng.randint(2, 10))
+        profiles = _random_profiles(rng, index, m)
+        pool = _random_pool(rng, rng.randint(1, 12))
         probability = rng.uniform(0.05, 1.0)
-        committed = pool[: rng.randint(1, len(pool) // 2 + 1)]
+        committed = rng.sample(pool, rng.randint(0, min(3, len(pool))))
 
-        gains = {}
-        for strategy in ("incremental", "rebuild"):
-            evaluator = SelectionEvaluator(
-                index, profiles, probability, strategy=strategy, backend="python"
+        evaluator = SelectionEvaluator(index, profiles, probability)
+        for photo in committed:
+            evaluator.add(photo)
+        before = expected_coverage(
+            index, profiles + [build_node_profile(index, 99, committed, probability)]
+        )
+        for photo in pool:
+            after = expected_coverage(
+                index,
+                profiles + [build_node_profile(index, 99, committed + [photo], probability)],
             )
-            for photo in committed:
-                evaluator.add(photo)
-            gains[strategy] = [evaluator.gain_of(photo) for photo in pool]
-        for a, b in zip(gains["incremental"], gains["rebuild"]):
-            assert a.point == pytest.approx(b.point, rel=1e-9, abs=1e-12)
-            assert a.aspect == pytest.approx(b.aspect, rel=1e-9, abs=1e-12)
+            gain = evaluator.gain_of(photo)
+            assert gain.point == pytest.approx(after.point - before.point, rel=1e-9, abs=1e-9)
+            assert gain.aspect == pytest.approx(after.aspect - before.aspect, rel=1e-9, abs=1e-9)

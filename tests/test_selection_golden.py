@@ -17,6 +17,7 @@ Regenerate after an intentional algorithm change with::
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import backend
 from repro.core.angular import AngularInterval, ArcSet
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import build_node_profile
@@ -33,11 +33,11 @@ from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
 from repro.core.selection import StorageSpec, greedy_select
 
-from helpers import MB, photo_at_aspect
+from helpers import MB, photo_at_aspect, selection_backend
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "selection_seed0.json"
 
-BACKENDS = ["python"] + (["numpy"] if backend.numpy_available() else [])
+BACKENDS = ["python"] + (["numpy"] if importlib.util.find_spec("numpy") else [])
 
 
 def _scenario():
@@ -76,7 +76,7 @@ def _scenario():
 def _run(backend_name: str):
     index, pool, background, storage = _scenario()
     index_of = {photo.photo_id: i for i, photo in enumerate(pool)}
-    with backend.use_backend(backend_name):
+    with selection_backend(backend_name):
         selection = greedy_select(index, pool, storage, background)
     return {
         "pool_indices": [index_of[photo.photo_id] for photo in selection.photos],
