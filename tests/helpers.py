@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -13,9 +11,7 @@ import math
 import pytest
 
 from repro.core import metadata as metadata_module
-from repro.core import selection as selection_module
 from repro.core.coverage_index import CoverageIndex
-from repro.core.expected_coverage import SelectionEvaluator
 from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoI, PoIList
@@ -148,16 +144,3 @@ def build_scenario(monkeypatch, scale: float, fault_plan=None):
     scenario = ScenarioSpec(scale=scale, seed=0).build()
     config = dataclasses.replace(scenario.config, fault_plan=fault_plan)
     return dataclasses.replace(scenario, config=config)
-
-
-@contextlib.contextmanager
-def selection_backend(name: str):
-    """Run :mod:`repro.core.selection`'s greedy selections on evaluator
-    backend *name* (``python`` or the opt-in ``numpy``) inside the block."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            selection_module,
-            "SelectionEvaluator",
-            functools.partial(SelectionEvaluator, backend=name),
-        )
-        yield

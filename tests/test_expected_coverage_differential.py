@@ -18,21 +18,12 @@ its marginal gain after any committed photos must equal the difference of
 two exact expected coverages, on PoIs with and without important-aspect
 restrictions.
 
-A second family of differentials pits the opt-in ``numpy`` twins against
-the pure-python path: the vectorized endpoint sweep (swapped into
-``expected_coverage`` by :func:`_numpy_sweep`) and the prefix-integral
-``SelectionEvaluator`` must reproduce the scalar results
-to 1e-9 (different summation orders), and the numpy evaluator's batched
-``gain_of_batch`` must equal its scalar ``gain_of`` **bitwise** (the CELF
-heap mixes the two).  Everything in this module except the numpy
-differentials and the Monte-Carlo cross-check (numpy-backed sampling)
-runs with numpy absent.
+Everything in this module except the cases that call
+``expected_coverage_sampled`` (it imports numpy) runs with numpy absent.
 """
 
 from __future__ import annotations
 
-import contextlib
-import importlib
 import importlib.util
 import math
 import random
@@ -60,24 +51,6 @@ needs_numpy = pytest.mark.skipif(
 )
 
 THETA = math.radians(30.0)
-
-# ``repro.core.expected_coverage`` the attribute is the function; this is
-# the module.
-expected_coverage_module = importlib.import_module("repro.core.expected_coverage")
-
-
-@contextlib.contextmanager
-def _numpy_sweep():
-    """Make ``expected_coverage`` use the vectorized endpoint sweep."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            expected_coverage_module,
-            "_expected_aspect_for_poi",
-            expected_coverage_module._expected_aspect_for_poi_numpy,
-        )
-        yield
-
-
 
 POIS = [Point(0.0, 0.0), Point(500.0, 0.0), Point(0.0, 500.0)]
 
@@ -181,89 +154,6 @@ def _random_pool(rng: random.Random, size: int):
         photo_at_aspect(rng.choice(POIS), rng.uniform(0.0, 360.0))
         for _ in range(size)
     ]
-
-
-@needs_numpy
-class TestBackendSweepDifferential:
-    """python vs numpy ``expected_coverage`` on randomized profiles."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_numpy_sweep_matches_python_sweep(self, seed, m):
-        rng = random.Random(seed)
-        index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
-        profiles = _random_profiles(rng, index, m)
-        reference = expected_coverage(index, profiles)
-        with _numpy_sweep():
-            vectorized = expected_coverage(index, profiles)
-        assert vectorized.point == pytest.approx(reference.point, rel=1e-9, abs=1e-12)
-        assert vectorized.aspect == pytest.approx(reference.aspect, rel=1e-9, abs=1e-12)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=0, max_value=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_numpy_sweep_matches_definition_2(self, seed, m):
-        index = _index()
-        profiles = _random_profiles(random.Random(seed), index, m)
-        enumerated = expected_coverage_enumerated(index, profiles)
-        with _numpy_sweep():
-            vectorized = expected_coverage(index, profiles)
-        assert vectorized.point == pytest.approx(enumerated.point, rel=1e-9, abs=1e-12)
-        assert vectorized.aspect == pytest.approx(enumerated.aspect, rel=1e-9, abs=1e-12)
-
-
-@needs_numpy
-class TestBackendEvaluatorDifferential:
-    """python vs numpy ``SelectionEvaluator`` gains on randomized pools."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_gain_of_agrees_across_backends(self, seed, m):
-        rng = random.Random(seed)
-        index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
-        profiles = _random_profiles(rng, index, m)
-        pool = _random_pool(rng, rng.randint(1, 12))
-        probability = rng.uniform(0.05, 1.0)
-        committed = rng.sample(pool, rng.randint(0, min(3, len(pool))))
-
-        gains = {}
-        for name in ("python", "numpy"):
-            evaluator = SelectionEvaluator(index, profiles, probability, backend=name)
-            for photo in committed:
-                evaluator.add(photo)
-            gains[name] = [evaluator.gain_of(photo) for photo in pool]
-        for reference, vectorized in zip(gains["python"], gains["numpy"]):
-            assert vectorized.point == pytest.approx(reference.point, rel=1e-9, abs=1e-12)
-            assert vectorized.aspect == pytest.approx(reference.aspect, rel=1e-9, abs=1e-12)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=0, max_value=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_numpy_batch_is_bitwise_identical_to_numpy_scalar(self, seed, m):
-        """The CELF heap mixes batched and scalar gains; they must be equal
-        as floats, not merely close."""
-        rng = random.Random(seed)
-        index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
-        profiles = _random_profiles(rng, index, m)
-        pool = _random_pool(rng, rng.randint(1, 20))
-        evaluator = SelectionEvaluator(
-            index, profiles, rng.uniform(0.05, 1.0), backend="numpy"
-        )
-        batched = evaluator.gain_of_batch(pool)
-        scalar = [evaluator.gain_of(photo) for photo in pool]
-        for one, many in zip(scalar, batched):
-            assert one.point == many.point
-            assert one.aspect == many.aspect
 
 
 class TestEvaluatorAgainstSweep:

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,7 @@ from repro.core.selection import (
 from helpers import MB, make_photo, photo_at_aspect
 
 THETA = math.radians(30.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def index_for(points):
@@ -261,3 +267,52 @@ class TestGreedyVersusOptimal:
         greedy_value = evaluate_allocation(index, photos, placement, spec_a, spec_b)
         assert greedy_value is not None
         assert greedy_value <= optimal_value or greedy_value.isclose(optimal_value)
+
+
+def test_selection_runs_without_numpy():
+    """The selection core and the simulator import and reallocate on an
+    interpreter where ``import numpy`` fails."""
+    script = textwrap.dedent(
+        """
+        import math
+        import sys
+
+        sys.modules["numpy"] = None  # any numpy import now raises ImportError
+
+        import repro.dtn.simulator
+        from repro.core import (
+            CoverageIndex, Photo, PhotoMetadata, Point, PoIList, StorageSpec,
+            build_node_profile, greedy_reallocate,
+        )
+
+        poi = Point(0.0, 0.0)
+        index = CoverageIndex(PoIList.from_points([poi]), effective_angle=math.radians(30.0))
+
+        def photo(aspect_deg):
+            aspect = math.radians(aspect_deg)
+            camera = Point(50.0 * math.cos(aspect), -50.0 * math.sin(aspect))
+            metadata = PhotoMetadata(
+                location=camera,
+                coverage_range=100.0,
+                field_of_view=math.radians(60.0),
+                orientation=camera.bearing_to(poi),
+            )
+            return Photo(metadata=metadata, size_bytes=4 * 1024 * 1024)
+
+        background = [build_node_profile(index, 0, [photo(180.0)], 1.0)]
+        result = greedy_reallocate(
+            index,
+            [photo(0.0), photo(90.0)],
+            [photo(45.0)],
+            StorageSpec(1, 8 * 1024 * 1024, 0.8),
+            StorageSpec(2, 4 * 1024 * 1024, 0.3),
+            background,
+        )
+        assert result.first.photos and result.second.photos
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -3,16 +3,14 @@
 :func:`repro.core.selection.greedy_select` prunes gain evaluations with a
 stale-tolerant max-heap; :func:`greedy_select_reference` re-evaluates every
 remaining candidate each round against a freshly rebuilt evaluator.
-Submodularity makes the two pick the same argmax at every step, and on
-one evaluator backend both query the same arithmetic (the opt-in numpy
-backend's scalar and batched gains are bitwise equal), so the agreement is
-exact: same photo order, same gain floats -- on each backend, on
-fault-perturbed pools, and with telemetry on or off.
+Submodularity makes the two pick the same argmax at every step, and both
+query the same evaluator arithmetic, so the agreement is exact: same photo
+order, same gain floats -- on random pools, on fault-perturbed pools, and
+with telemetry on or off.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
 
@@ -27,16 +25,10 @@ from repro.dtn.faults import FaultInjector, FaultPlan
 from repro.obs import SimTelemetry
 from repro.obs.runtime import activated
 
-from helpers import MB, photo_at_aspect, selection_backend
+from helpers import MB, photo_at_aspect
 
 THETA = math.radians(30.0)
 POIS = [Point(0.0, 0.0), Point(500.0, 0.0), Point(0.0, 500.0), Point(500.0, 500.0)]
-
-BACKENDS = ["python"] + (["numpy"] if importlib.util.find_spec("numpy") else [])
-# The evaluator's one commit strategy (committed arcs are excluded per
-# query).  Kept as a parameter only so the case ids keep their names until
-# the numpy backend, and with it the backend parameter, is deleted.
-STRATEGIES = ["incremental"]
 
 
 def _scenario(seed: int, pool_size: int = 60, m: int = 5):
@@ -71,41 +63,34 @@ def _assert_byte_identical(lazy, naive):
         assert a.aspect == b.aspect
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("seed", range(4))
-def test_celf_equals_naive_greedy(backend_name, strategy, seed):
+def test_celf_equals_naive_greedy(seed):
     index, pool, background, storage = _scenario(seed)
-    with selection_backend(backend_name):
-        lazy = greedy_select(index, pool, storage, background)
-        naive = greedy_select_reference(index, pool, storage, background)
+    lazy = greedy_select(index, pool, storage, background)
+    naive = greedy_select_reference(index, pool, storage, background)
     _assert_byte_identical(lazy, naive)
     assert lazy.photos, "scenario must actually select something"
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("intensity", [0.3, 0.6])
-def test_celf_equals_naive_on_fault_perturbed_pools(backend_name, intensity):
+def test_celf_equals_naive_on_fault_perturbed_pools(intensity):
     """Fault-injected pools (dropped photos) preserve the equivalence."""
     index, pool, background, storage = _scenario(seed=99, pool_size=80)
     injector = FaultInjector(FaultPlan.scaled(intensity, seed=7))
     perturbed = injector.surviving_photos(pool)
     assert perturbed, "fault plan must leave a non-empty pool"
-    with selection_backend(backend_name):
-        lazy = greedy_select(index, perturbed, storage, background)
-        naive = greedy_select_reference(index, perturbed, storage, background)
+    lazy = greedy_select(index, perturbed, storage, background)
+    naive = greedy_select_reference(index, perturbed, storage, background)
     _assert_byte_identical(lazy, naive)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_telemetry_does_not_change_selection(backend_name):
+def test_telemetry_does_not_change_selection():
     index, pool, background, storage = _scenario(seed=5)
     telemetry = SimTelemetry()
-    with selection_backend(backend_name):
-        plain = greedy_select(index, pool, storage, background)
-        with activated(telemetry):
-            observed = greedy_select(index, pool, storage, background)
-            observed_naive = greedy_select_reference(index, pool, storage, background)
+    plain = greedy_select(index, pool, storage, background)
+    with activated(telemetry):
+        observed = greedy_select(index, pool, storage, background)
+        observed_naive = greedy_select_reference(index, pool, storage, background)
     _assert_byte_identical(plain, observed)
     _assert_byte_identical(plain, observed_naive)
     # The hooks really fired: the selection counter and the gain-evaluation
@@ -117,14 +102,12 @@ def test_telemetry_does_not_change_selection(backend_name):
     assert gain_evals[0]["value"] > 0
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_zero_capacity_and_zero_probability_edges(backend_name):
+def test_zero_capacity_and_zero_probability_edges():
     index, pool, background, _ = _scenario(seed=11, pool_size=30)
     empty = StorageSpec(node_id=1, capacity_bytes=0, delivery_probability=0.5)
     hopeless = StorageSpec(node_id=1, capacity_bytes=40 * MB, delivery_probability=0.0)
     for storage in (empty, hopeless):
-        with selection_backend(backend_name):
-            lazy = greedy_select(index, pool, storage, background)
-            naive = greedy_select_reference(index, pool, storage, background)
+        lazy = greedy_select(index, pool, storage, background)
+        naive = greedy_select_reference(index, pool, storage, background)
         _assert_byte_identical(lazy, naive)
         assert lazy.photos == []
