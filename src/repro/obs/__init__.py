@@ -4,8 +4,7 @@ Three layers, composable and individually usable:
 
 * :mod:`repro.obs.registry` -- a dependency-free, Prometheus-shaped
   metrics registry (counters, gauges, histograms, timers; labeled
-  children; JSON and Prometheus-text export) with a zero-overhead
-  disabled mode (:data:`~repro.obs.registry.NULL_REGISTRY`).
+  children; JSON and Prometheus-text export).
 * :mod:`repro.obs.telemetry` -- :class:`~repro.obs.telemetry.SimTelemetry`,
   the hook set the DTN simulator, core algorithms, and metadata cache
   feed; plus the :class:`~repro.obs.telemetry.SimulationObserver`
@@ -25,6 +24,9 @@ inspect with ``repro metrics <manifest.json>``, or programmatically::
     telemetry = SimTelemetry()
     result = run_spec(spec, "our-scheme", telemetry=telemetry)
     print(telemetry.registry.to_prometheus())
+
+Off is ``telemetry=None``, the default everywhere: each hook site then
+costs one global read and a ``None`` check (:mod:`repro.obs.runtime`).
 """
 
 from .manifest import (
@@ -38,9 +40,8 @@ from .manifest import (
     validate_service_manifest,
     write_manifest,
 )
-from .profiler import NULL_PROFILER, PhaseStats, Profiler, merge_profiles
+from .profiler import PhaseStats, Profiler, merge_profiles
 from .registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -57,11 +58,9 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "registry_from_snapshot",
     "Profiler",
     "PhaseStats",
-    "NULL_PROFILER",
     "merge_profiles",
     "SimTelemetry",
     "SimulationObserver",

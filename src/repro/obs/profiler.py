@@ -7,10 +7,6 @@ tiny per-phase accumulator (calls, total, min, max) that hot code feeds
 either through the :meth:`~Profiler.phase` context manager, the
 :meth:`~Profiler.profile` decorator, or -- cheapest, used by the wired
 hook points -- an externally measured :meth:`~Profiler.add`.
-
-A disabled profiler (``Profiler(enabled=False)``, or the shared
-:data:`NULL_PROFILER`) accepts every call and records nothing, so wiring
-sites never need their own conditionals.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from contextlib import contextmanager
 from functools import wraps
 from typing import Any, Callable, Dict, Iterator
 
-__all__ = ["PhaseStats", "Profiler", "NULL_PROFILER", "merge_profiles"]
+__all__ = ["PhaseStats", "Profiler", "merge_profiles"]
 
 
 class PhaseStats:
@@ -53,14 +49,11 @@ class PhaseStats:
 class Profiler:
     """Per-phase wall-clock breakdown of a run."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.phases: Dict[str, PhaseStats] = {}
 
     def add(self, name: str, seconds: float) -> None:
         """Record an externally timed duration for phase *name*."""
-        if not self.enabled:
-            return
         stats = self.phases.get(name)
         if stats is None:
             stats = self.phases[name] = PhaseStats()
@@ -69,9 +62,6 @@ class Profiler:
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Time a ``with`` block as one call of phase *name*."""
-        if not self.enabled:
-            yield
-            return
         start = time.perf_counter()
         try:
             yield
@@ -94,10 +84,6 @@ class Profiler:
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """JSON-serializable ``{phase: {calls, total_s, min_s, max_s}}``."""
         return {name: self.phases[name].as_dict() for name in sorted(self.phases)}
-
-
-#: Shared disabled profiler: every call is accepted, nothing is recorded.
-NULL_PROFILER = Profiler(enabled=False)
 
 
 def merge_profiles(profiles: Any) -> Dict[str, Dict[str, float]]:

@@ -6,12 +6,6 @@ and :meth:`~Metric.labels` derives labeled children on demand
 (``contacts_total{scheme="photonet"}``).  Snapshots export as plain JSON
 dicts (round-trippable through :func:`registry_from_snapshot`) or as the
 Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`).
-
-The disabled story matters for the hot path: :data:`NULL_REGISTRY` is a
-singleton whose factories hand back shared no-op metrics, so code written
-against a registry runs unchanged -- every ``inc``/``observe`` is a bare
-``pass`` -- and a simulation with telemetry off pays nothing beyond an
-attribute check (see :mod:`repro.obs.runtime`).
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "registry_from_snapshot",
     "DEFAULT_BUCKETS",
 ]
@@ -388,9 +381,6 @@ class MetricsRegistry:
     threaded and worker processes each own a private registry.
     """
 
-    #: Real registries record; the :data:`NULL_REGISTRY` overrides this.
-    enabled = True
-
     def __init__(self) -> None:
         self._families: Dict[str, Metric] = {}
 
@@ -476,76 +466,3 @@ def registry_from_snapshot(snapshot: Dict[str, Any]) -> MetricsRegistry:
             series = family.labels(**sample.get("labels", {}))
             series._load_sample(sample["value"])
     return registry
-
-
-# ----------------------------------------------------------------------
-# The disabled path: shared no-op metrics and the null registry
-# ----------------------------------------------------------------------
-
-
-class _NullMetric:
-    """Absorbs every metric operation; shared by all disabled call sites."""
-
-    name = "null"
-    help = ""
-    kind = "untyped"
-
-    def labels(self, **labels: Any) -> "_NullMetric":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> "_NullTimerContext":
-        return _NULL_TIMER_CONTEXT
-
-    def wrap(self, fn: Callable) -> Callable:
-        return fn
-
-
-class _NullTimerContext:
-    def __enter__(self) -> "_NullTimerContext":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-
-_NULL_TIMER_CONTEXT = _NullTimerContext()
-_NULL_METRIC = _NullMetric()
-
-
-class _NullRegistry(MetricsRegistry):
-    """The zero-overhead disabled registry: every factory is a constant."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return _NULL_METRIC  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return _NULL_METRIC  # type: ignore[return-value]
-
-    def histogram(
-        self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return _NULL_METRIC  # type: ignore[return-value]
-
-    def timer(self, name: str, help: str = "") -> Timer:
-        return _NULL_METRIC  # type: ignore[return-value]
-
-
-#: The shared disabled registry (``NULL_REGISTRY.enabled is False``).
-NULL_REGISTRY = _NullRegistry()

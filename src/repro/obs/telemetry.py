@@ -20,9 +20,9 @@ What it records, mapped to the paper:
 * fault activations (:class:`~repro.dtn.faults.FaultCounters`) folded
   into the registry at the end of a run.
 
-``SimTelemetry(enabled=False)`` keeps every hook callable but routes all
-of them to the null registry/profiler -- the configuration the benchmark
-uses to price the hook layer itself.
+Telemetry has one off switch: pass no telemetry (``telemetry=None``).
+Every hook site then costs one global read and a ``None`` check (see
+:mod:`repro.obs.runtime`).
 
 :class:`SimulationObserver` is the shared wiring-point protocol: anything
 that wants the per-event effect stream (the structured
@@ -44,8 +44,8 @@ except ImportError:  # pragma: no cover - ancient interpreters only
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
 
-from .profiler import NULL_PROFILER, Profiler
-from .registry import NULL_REGISTRY, MetricsRegistry
+from .profiler import Profiler
+from .registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dtn.simulator import SimulationResult
@@ -68,30 +68,14 @@ class SimulationObserver(Protocol):
 class SimTelemetry:
     """The instrumentation sink one simulation run feeds.
 
-    Parameters
-    ----------
-    registry, profiler:
-        Bring your own (e.g. a registry shared across runs) or let the
-        telemetry own fresh ones.
-    enabled:
-        ``False`` wires every hook to the null registry/profiler: calls
-        are made but nothing is recorded.  This is the configuration the
-        engine benchmark uses to measure pure hook-dispatch overhead.
+    Each instance owns a fresh :class:`~repro.obs.registry.MetricsRegistry`
+    and :class:`~repro.obs.profiler.Profiler`.  To run without telemetry,
+    pass none (``telemetry=None``) rather than building one.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
-        enabled: bool = True,
-    ) -> None:
-        self.enabled = enabled
-        if not enabled:
-            self.registry: MetricsRegistry = NULL_REGISTRY
-            self.profiler: Profiler = NULL_PROFILER
-        else:
-            self.registry = registry if registry is not None else MetricsRegistry()
-            self.profiler = profiler if profiler is not None else Profiler()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.profiler = Profiler()
 
         r = self.registry
         self._contacts = r.counter(

@@ -23,7 +23,7 @@ from repro.experiments.engine import (
     RunUnit,
 )
 from repro.experiments.persistence import averaged_to_dict, result_to_dict
-from repro.experiments.runner import _best_possible_config
+from repro.experiments.runner import PAPER_SCHEMES, _best_possible_config
 
 SCALE = 0.05  # tiny but non-degenerate scenario; one unit runs in ~25 ms
 SCHEMES = ("our-scheme", "spray-and-wait", "direct")
@@ -82,9 +82,11 @@ class TestRunPlan:
 
 class TestDeterminism:
     def test_parallel_equals_serial(self):
+        # All five paper schemes: this is the check that every Fig. 5-8
+        # scheme comes back identical through the process pool.
         spec = small_spec()
-        serial = ExperimentEngine(workers=1).run_comparison(spec, SCHEMES, num_runs=2)
-        parallel = ExperimentEngine(workers=4).run_comparison(spec, SCHEMES, num_runs=2)
+        serial = ExperimentEngine(workers=1).run_comparison(spec, PAPER_SCHEMES, num_runs=2)
+        parallel = ExperimentEngine(workers=4).run_comparison(spec, PAPER_SCHEMES, num_runs=2)
         assert {n: averaged_to_dict(r) for n, r in serial.items()} == {
             n: averaged_to_dict(r) for n, r in parallel.items()
         }

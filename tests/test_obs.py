@@ -4,9 +4,8 @@ The contracts under test:
 
 * the metrics registry is Prometheus-shaped (golden text exposition) and
   its JSON snapshots round-trip losslessly;
-* the disabled path (null registry, disabled telemetry) records nothing
-  and never perturbs a simulation -- telemetry-on and telemetry-off runs
-  produce byte-identical results;
+* telemetry never perturbs a simulation -- telemetry-on and
+  telemetry-off (``telemetry=None``) runs produce byte-identical results;
 * the engine threads telemetry through cache and worker pool, and the
   aggregated run manifest validates against the schema;
 * fault activations surface as ``repro_fault_events_total`` samples (the
@@ -29,8 +28,6 @@ from repro.experiments.robustness_study import spec as robustness_spec
 from repro.experiments.runner import run_spec
 from repro.experiments.telemetry_study import run_telemetry_study, telemetry_report
 from repro.obs import (
-    NULL_PROFILER,
-    NULL_REGISTRY,
     MetricsRegistry,
     Profiler,
     SimTelemetry,
@@ -225,19 +222,6 @@ class TestHistogramQuantiles:
         assert quantiles == sorted(quantiles)
 
 
-class TestNullRegistry:
-    def test_everything_is_a_noop(self):
-        assert NULL_REGISTRY.enabled is False
-        c = NULL_REGISTRY.counter("anything")
-        assert c is NULL_REGISTRY.gauge("other")  # one shared null metric
-        c.inc()
-        c.labels(a="b").observe(3)
-        with NULL_REGISTRY.timer("t").time():
-            pass
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.to_prometheus() == ""
-
-
 # ----------------------------------------------------------------------
 # Profiler
 # ----------------------------------------------------------------------
@@ -260,12 +244,6 @@ class TestProfiler:
         assert snap["transfer"] == {
             "calls": 1, "total_s": 0.5, "min_s": 0.5, "max_s": 0.5,
         }
-
-    def test_disabled_profiler_records_nothing(self):
-        with NULL_PROFILER.phase("x"):
-            pass
-        NULL_PROFILER.add("x", 1.0)
-        assert NULL_PROFILER.snapshot() == {}
 
     def test_merge_profiles(self):
         a = {"sel": {"calls": 2, "total_s": 1.0, "min_s": 0.4, "max_s": 0.6}}
@@ -307,17 +285,6 @@ class TestRuntime:
 
 
 class TestTelemetry:
-    def test_disabled_telemetry_accepts_every_hook(self):
-        tel = SimTelemetry(enabled=False)
-        tel.on_contact("contact")
-        tel.on_photo_created()
-        tel.on_selection(5, 3, 12, 2, 0.01, 0.002)
-        tel.on_transfer_outcome(3, 2, 0, 1, 100, 0, 50, True, 0.01)
-        tel.on_cache_event("hit", 4)
-        tel.on_encounter()
-        assert tel.snapshot()["metrics"] == {}
-        assert tel.snapshot()["profile"] == {}
-
     def test_telemetry_never_perturbs_the_simulation(self):
         plain = run_spec(small_spec(), "our-scheme")
         tel = SimTelemetry()
