@@ -3,9 +3,11 @@
 A :class:`DTNNode` bundles everything one crowdsourcing participant
 carries: bounded photo storage, the metadata cache, the inter-contact
 estimator feeding Eq. 1, and a PROPHET table whose entry toward the
-command center is the ``p_i`` of Definition 2.  ``scratch`` is a free-form
-dict where routing schemes keep per-node protocol state (e.g. spray copy
-counters) without the node module knowing about every scheme.
+command center is the ``p_i`` of Definition 2.  Only the paper's scheme
+reads (and so updates) the estimator and the PROPHET table.  ``scratch``
+is a free-form dict where routing schemes keep per-node protocol state
+(e.g. spray copy counters) without the node module knowing about every
+scheme.
 
 The :class:`CommandCenter` is the special node ``n_0``: unlimited storage,
 delivery probability 1 (it trivially "delivers" to itself), and it never
@@ -128,10 +130,6 @@ class DTNNode:
         if self.faults is not None:
             entry = self.faults.maybe_corrupt_snapshot(entry)
         return entry
-
-    def record_contact(self, peer_id: int, now: float) -> None:
-        """Update contact-history statistics (inter-contact estimator)."""
-        self.estimator.record_contact(peer_id, now)
 
     def __repr__(self) -> str:
         gateway = ", gateway" if self.is_gateway else ""

@@ -115,7 +115,7 @@ class SimTelemetry:
             "Metadata cache activity (hit|miss_expired|purged|store|merge_update), Eq. 1",
         )
         self._encounters = r.counter(
-            "repro_prophet_encounters_total", "Node-pair encounters updating PROPHET state"
+            "repro_prophet_encounters_total", "Node-pair encounters (contacts of kind=contact)"
         )
         self._log_events = r.counter(
             "repro_log_events_total",
@@ -154,6 +154,8 @@ class SimTelemetry:
 
     def on_contact(self, kind: str) -> None:
         self._contacts.labels(kind=kind).inc()
+        if kind == "contact":
+            self._encounters.inc()
 
     def on_photo_created(self) -> None:
         self._photos_created.inc()
@@ -243,9 +245,6 @@ class SimTelemetry:
     def on_cache_event(self, event: str, count: int = 1) -> None:
         if count:
             self._cache_events.labels(event=event).inc(count)
-
-    def on_encounter(self) -> None:
-        self._encounters.inc()
 
     # ------------------------------------------------------------------
     # Shared wiring point with the event log

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.coverage import CoverageValue
 from ..core.metadata import Photo
-from ..obs.runtime import active_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dtn.simulator import Simulation
@@ -30,7 +29,9 @@ class RoutingScheme(abc.ABC):
     Subclasses set :attr:`name` and implement the three callbacks.  The
     simulator calls :meth:`bind` once before the run starts; ``self.sim``
     then exposes the coverage index, the node map, the command center, and
-    the byte-budget helper.
+    the byte-budget helper.  The base keeps no per-contact state: a scheme
+    that reads a node's PROPHET table or contact history updates it in its
+    own callbacks (only the paper's scheme does).
     """
 
     name: str = "abstract"
@@ -55,29 +56,6 @@ class RoutingScheme(abc.ABC):
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
         """A gateway participant can reach the command center."""
-
-    # ------------------------------------------------------------------
-    # Shared bookkeeping most schemes want on every contact
-    # ------------------------------------------------------------------
-
-    def record_encounter(self, node_a: DTNNode, node_b: DTNNode, now: float) -> None:
-        """Update contact history and PROPHET state for a node-node contact."""
-        node_a.record_contact(node_b.node_id, now)
-        node_b.record_contact(node_a.node_id, now)
-        node_a.prophet.on_encounter(node_b.node_id, now)
-        node_b.prophet.on_encounter(node_a.node_id, now)
-        snapshot_a = node_a.prophet.snapshot(now)
-        snapshot_b = node_b.prophet.snapshot(now)
-        node_a.prophet.apply_transitivity(node_b.node_id, snapshot_b, now)
-        node_b.prophet.apply_transitivity(node_a.node_id, snapshot_a, now)
-        telemetry = active_telemetry()
-        if telemetry is not None:
-            telemetry.on_encounter()
-
-    def record_center_encounter(self, node: DTNNode, center: CommandCenter, now: float) -> None:
-        """Update contact history and PROPHET state for a gateway uplink."""
-        node.record_contact(center.node_id, now)
-        node.prophet.on_encounter(center.node_id, now)
 
 
 def individual_coverage(sim: "Simulation", photo: Photo) -> CoverageValue:

@@ -37,7 +37,6 @@ class BestPossibleScheme(RoutingScheme):
         return node.scratch.setdefault("best_possible_ids", set())
 
     def on_contact(self, node_a: DTNNode, node_b: DTNNode, now: float, duration: float) -> None:
-        self.record_encounter(node_a, node_b, now)
         merged = self._collection(node_a) | self._collection(node_b)
         node_a.scratch["best_possible_ids"] = set(merged)
         node_b.scratch["best_possible_ids"] = set(merged)
@@ -45,7 +44,6 @@ class BestPossibleScheme(RoutingScheme):
     def on_command_center_contact(
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
-        self.record_center_encounter(node, center, now)
         photos = self.sim.scratch.get("best_possible_photos", {})
         for photo_id in sorted(self._collection(node)):
             photo = photos.get(photo_id)

@@ -1,7 +1,7 @@
 """The paper's scheme: coverage-aware photo selection routing (Section III).
 
-On every contact the two nodes (a) update contact statistics and PROPHET
-predictabilities, (b) exchange and validate metadata (Section III-B),
+On every contact the two nodes (a) update PROPHET predictabilities and
+contact statistics, (b) exchange and validate metadata (Section III-B),
 (c) solve the greedy photo-reallocation problem maximizing expected
 coverage over the node set M (Sections III-C/III-D), and (d) execute the
 resulting transfer plan under the contact's byte budget, most valuable
@@ -20,6 +20,12 @@ storage.
 **NoMetadata** ablation: no third-party metadata is cached or used, so
 the node set M degenerates to the two contact participants (plus the
 command center itself during uplinks).
+
+The scheme is the only reader of a node's PROPHET table (the ``p_i`` of
+expected coverage, Section III-C) and of its inter-contact estimator (the
+aggregate rate a metadata snapshot carries for Eq. 1), so it is also the
+only scheme that updates them.  NoMetadata hands out no snapshots and so
+keeps no contact history.
 
 The scheme keeps two kinds of derived state, both rebuilt on demand and
 left out of pickles (service snapshots): a per-node eviction heap and a
@@ -160,9 +166,19 @@ class CoverageSelectionScheme(RoutingScheme):
     # ------------------------------------------------------------------
 
     def on_contact(self, node_a: DTNNode, node_b: DTNNode, now: float, duration: float) -> None:
-        self.record_encounter(node_a, node_b, now)
+        # PROPHET: the direct encounter first, then transitivity through
+        # the peer's aged table.
+        prophet_a, prophet_b = node_a.prophet, node_b.prophet
+        prophet_a.on_encounter(node_b.node_id, now)
+        prophet_b.on_encounter(node_a.node_id, now)
+        snapshot_a = prophet_a.snapshot(now)
+        snapshot_b = prophet_b.snapshot(now)
+        prophet_a.apply_transitivity(node_b.node_id, snapshot_b, now)
+        prophet_b.apply_transitivity(node_a.node_id, snapshot_a, now)
 
         if self.use_metadata_cache:
+            node_a.estimator.record_contact(node_b.node_id, now)
+            node_b.estimator.record_contact(node_a.node_id, now)
             # Exchange caches first (fresher entry wins), then each other's
             # live snapshots, then drop entries Eq. 1 declares stale.
             node_a.cache.merge_from(node_b.cache)
@@ -270,11 +286,12 @@ class CoverageSelectionScheme(RoutingScheme):
     def on_command_center_contact(
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
-        self.record_center_encounter(node, center, now)
+        node.prophet.on_encounter(center.node_id, now)
 
         center_profile = self._profile(center.node_id, tuple(center.storage.photos()), 1.0)
         background: List[NodeProfile] = [center_profile]
         if self.use_metadata_cache:
+            node.estimator.record_contact(center.node_id, now)
             node.cache.purge_stale(now)
             for entry in node.cache.valid_entries(
                 now, exclude={node.node_id, center.node_id}

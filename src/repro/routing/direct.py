@@ -26,12 +26,9 @@ class DirectDeliveryScheme(RoutingScheme):
             node.storage.add(photo)
 
     def on_contact(self, node_a, node_b, now: float, duration: float) -> None:
-        # Still update contact statistics (so PROPHET comparisons across
-        # schemes stay apples-to-apples), but move no data.
-        self.record_encounter(node_a, node_b, now)
+        """Peers exchange nothing; photos move only on uplinks."""
 
     def on_command_center_contact(self, node, center, now: float, duration: float) -> None:
-        self.record_center_encounter(node, center, now)
         budget = self.sim.byte_budget(duration)
         used = 0
         for photo in node.storage.photos():

@@ -30,7 +30,6 @@ class EpidemicScheme(RoutingScheme):
         # else: tail drop, like any utility-blind protocol.
 
     def on_contact(self, node_a, node_b, now: float, duration: float) -> None:
-        self.record_encounter(node_a, node_b, now)
         budget = self.sim.byte_budget(duration)
         used = self._flood(node_a, node_b, budget, 0)
         self._flood(node_b, node_a, budget, used)
@@ -50,7 +49,6 @@ class EpidemicScheme(RoutingScheme):
         return used
 
     def on_command_center_contact(self, node, center, now: float, duration: float) -> None:
-        self.record_center_encounter(node, center, now)
         budget = self.sim.byte_budget(duration)
         used = 0
         for photo in node.storage.photos():

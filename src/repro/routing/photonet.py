@@ -86,7 +86,6 @@ class PhotoNetScheme(RoutingScheme):
         self._accept_with_eviction(node, photo)
 
     def on_contact(self, node_a: DTNNode, node_b: DTNNode, now: float, duration: float) -> None:
-        self.record_encounter(node_a, node_b, now)
         budget = self.sim.byte_budget(duration)
         used = self._send_diverse(node_a, node_b, budget, 0)
         self._send_diverse(node_b, node_a, budget, used)
@@ -147,7 +146,6 @@ class PhotoNetScheme(RoutingScheme):
     def on_command_center_contact(
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
-        self.record_center_encounter(node, center, now)
         budget = self.sim.byte_budget(duration)
         used = 0
         candidates = [

@@ -114,11 +114,12 @@ class ProphetTable:
 
     def snapshot(self, now: float) -> Dict[int, float]:
         """Aged copy of all predictabilities, for exchanging during contact."""
-        return {
-            dest_id: self._aged_value(dest_id, now)
-            for dest_id in self._predictability
-            if self._aged_value(dest_id, now) > 0.0
-        }
+        snapshot: Dict[int, float] = {}
+        for dest_id in self._predictability:
+            value = self._aged_value(dest_id, now)
+            if value > 0.0:
+                snapshot[dest_id] = value
+        return snapshot
 
     def known_destinations(self) -> Tuple[int, ...]:
         return tuple(sorted(self._predictability))

@@ -48,7 +48,6 @@ class SprayAndWaitScheme(RoutingScheme):
         # else: tail drop -- a content-blind node has no basis for eviction.
 
     def on_contact(self, node_a: DTNNode, node_b: DTNNode, now: float, duration: float) -> None:
-        self.record_encounter(node_a, node_b, now)
         budget = self.sim.byte_budget(duration)
         used = 0
         # Alternate directions photo-by-photo so neither side starves the
@@ -81,7 +80,6 @@ class SprayAndWaitScheme(RoutingScheme):
     def on_command_center_contact(
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
-        self.record_center_encounter(node, center, now)
         budget = self.sim.byte_budget(duration)
         used = 0
         copies = self._copies(node)

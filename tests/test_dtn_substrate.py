@@ -148,8 +148,8 @@ class TestDTNNode:
         node = DTNNode(node_id=1, storage_bytes=10 * MB)
         photo = make_photo(0, 0, 0, size_bytes=4 * MB)
         node.storage.add(photo)
-        node.record_contact(2, 0.0)
-        node.record_contact(2, 100.0)
+        node.estimator.record_contact(2, 0.0)
+        node.estimator.record_contact(2, 100.0)
         snapshot = node.snapshot_metadata(now=100.0)
         assert snapshot.node_id == 1
         assert snapshot.photos == (photo,)

@@ -25,7 +25,7 @@ from repro.experiments import fig5
 from repro.experiments.engine import ExperimentEngine, ResultCache, RunPlan, RunUnit
 from repro.experiments.persistence import result_to_dict
 from repro.experiments.robustness_study import spec as robustness_spec
-from repro.experiments.runner import run_spec
+from repro.experiments.runner import PAPER_SCHEMES, run_spec
 from repro.experiments.telemetry_study import run_telemetry_study, telemetry_report
 from repro.obs import (
     MetricsRegistry,
@@ -308,6 +308,17 @@ class TestTelemetry:
         assert snap["buffer_occupancy"], "SAMPLE events must produce occupancy points"
         assert set(snap["profile"]) == {"selection", "expected_coverage", "transfer"}
         assert snap["scheme"] == "our-scheme"
+
+    @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+    def test_encounter_counter_counts_node_pair_contacts(self, scheme):
+        tel = SimTelemetry()
+        run_spec(small_spec(), scheme, telemetry=tel)
+        metrics = tel.snapshot()["metrics"]
+        (encounters,) = metrics["repro_prophet_encounters_total"]["samples"]
+        contacts = {
+            s["labels"]["kind"]: s["value"] for s in metrics["repro_contacts_total"]["samples"]
+        }
+        assert encounters["value"] == contacts["contact"] > 0
 
     def test_coverage_curve_is_monotone_in_delivered(self):
         tel = SimTelemetry()

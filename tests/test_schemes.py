@@ -9,6 +9,7 @@ import pytest
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
 from repro.dtn.simulator import Simulation, SimulationConfig
+from repro.routing import create_scheme
 from repro.routing.best_possible import BestPossibleScheme
 from repro.routing.coverage_scheme import CoverageSelectionScheme, NoMetadataScheme
 from repro.routing.modified_spray import ModifiedSprayScheme
@@ -425,3 +426,38 @@ class TestPhotoNet:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             PhotoNetScheme(region_scale=0.0)
+
+
+class TestContactStateOwnership:
+    """PROPHET and contact history are filled only by the scheme that reads them."""
+
+    CONTACTS = [(100.0, 1, 2, 600.0), (200.0, 0, 2, 600.0), (300.0, 1, 2, 600.0)]
+
+    def _run(self, scheme):
+        photo = photo_at_aspect(Point(0.0, 0.0), aspect_deg=0.0)
+        sim = build_sim(scheme, contacts=self.CONTACTS, arrivals=[arrival(0.0, 1, photo)])
+        sim.run()
+        return sim
+
+    @pytest.mark.parametrize(
+        "name",
+        ["spray-and-wait", "modified-spray", "best-possible", "photonet", "epidemic", "direct"],
+    )
+    def test_baselines_keep_no_prophet_or_contact_history(self, name):
+        sim = self._run(create_scheme(name))
+        for node in sim.nodes.values():
+            assert node.prophet.known_destinations() == ()
+            assert node.estimator.peers() == ()
+
+    def test_our_scheme_fills_prophet_and_contact_history(self):
+        sim = self._run(CoverageSelectionScheme())
+        gateway = sim.nodes[2]
+        assert gateway.delivery_probability(300.0) > 0.0
+        assert gateway.estimator.peers() == (0, 1)
+
+    def test_no_metadata_fills_prophet_only(self):
+        sim = self._run(NoMetadataScheme())
+        assert sim.nodes[2].delivery_probability(300.0) > 0.0
+        for node in sim.nodes.values():
+            assert node.prophet.known_destinations() != ()
+            assert node.estimator.peers() == ()
