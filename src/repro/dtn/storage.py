@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import heapq
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.metadata import Photo
 
@@ -19,15 +20,7 @@ class NodeStorage:
     Photos are keyed by ``photo_id``; insertion order is preserved (useful
     for FIFO drop policies).  ``capacity_bytes=None`` means unlimited (the
     command center and the BestPossible scheme use this).
-
-    ``generation`` counts :meth:`replace_all` calls, so an index a caller
-    derives from the collection (the coverage scheme's eviction heap) can
-    tell when the collection was swapped out from under it.
     """
-
-    #: Class-level default: storages pickled before the counter existed
-    #: restore at generation 0.
-    generation = 0
 
     def __init__(self, capacity_bytes: Optional[int] = None) -> None:
         if capacity_bytes is not None and capacity_bytes < 0:
@@ -35,6 +28,18 @@ class NodeStorage:
         self.capacity_bytes = capacity_bytes
         self._photos: Dict[int, Photo] = {}
         self._used = 0
+        #: ``(value function, min-heap of (value, -photo_id))``, built by
+        #: :meth:`least_valuable`; the heap may hold removed photos.
+        self._index: Optional[Tuple[Callable[[Photo], Any], List[tuple]]] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_index"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index = None
 
     @property
     def used_bytes(self) -> int:
@@ -61,6 +66,9 @@ class NodeStorage:
             )
         self._photos[photo.photo_id] = photo
         self._used += photo.size_bytes
+        if self._index is not None:
+            value, heap = self._index
+            heapq.heappush(heap, (value(photo), -photo.photo_id))
 
     def remove(self, photo_id: int) -> Optional[Photo]:
         photo = self._photos.pop(photo_id, None)
@@ -80,7 +88,26 @@ class NodeStorage:
             raise ValueError(f"collection of {total} B exceeds capacity {self.capacity_bytes} B")
         self._photos = {p.photo_id: p for p in photo_list}
         self._used = sum(p.size_bytes for p in self._photos.values())
-        self.generation += 1
+        self._index = None
+
+    def least_valuable(self, value: Callable[[Photo], Any]) -> Optional[Photo]:
+        """The stored photo with the smallest ``(value(photo), -photo_id)``.
+
+        That is the lowest-valued photo, the newest one on ties, or ``None``
+        when storage is empty.  *value* must be static per photo: the
+        answer comes from a heap built on the first call, which :meth:`add`
+        keeps up to date, :meth:`remove` leaves to be pruned here, and
+        :meth:`replace_all` (or a call with a *value* that compares
+        unequal, such as a fresh lambda) discards.
+        """
+        if self._index is None or self._index[0] != value:
+            heap = [(value(p), -photo_id) for photo_id, p in self._photos.items()]
+            heapq.heapify(heap)
+            self._index = (value, heap)
+        heap = self._index[1]
+        while heap and -heap[0][1] not in self._photos:
+            heapq.heappop(heap)  # lazily drop photos that left storage
+        return self._photos[-heap[0][1]] if heap else None
 
     def photos(self) -> List[Photo]:
         """The stored photos, insertion-ordered (a copy)."""

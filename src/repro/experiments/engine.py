@@ -100,8 +100,9 @@ class RunUnit:
 
         Covers the scheme spec and the full scenario spec -- seed, Table I
         settings, config overrides and fault plan -- plus the package
-        version and cache schema version, so a code release or format
-        change invalidates old entries instead of serving them.
+        version and cache schema version, so a format change invalidates
+        old entries instead of serving them.  A code change does not: the
+        package version is not bumped when results change.
         """
         payload = {
             "cache_schema": CACHE_SCHEMA_VERSION,
@@ -460,11 +461,11 @@ def default_engine() -> ExperimentEngine:
     """Engine configured from the environment.
 
     ``REPRO_WORKERS`` sets the worker count (default 1, serial) and
-    ``REPRO_ENGINE_CACHE`` -- when set to a directory -- enables the result
-    cache for library entry points that are not handed an engine
-    explicitly.
+    ``REPRO_CACHE_DIR`` -- the CLI's cache location -- when set, enables
+    the result cache there for library entry points that are not handed
+    an engine explicitly.
     """
     workers = max(1, int(os.environ.get("REPRO_WORKERS", "1")))
-    cache_dir = os.environ.get("REPRO_ENGINE_CACHE")
+    cache_dir = os.environ.get("REPRO_CACHE_DIR")
     cache = ResultCache(cache_dir) if cache_dir else None
     return ExperimentEngine(workers=workers, cache=cache)

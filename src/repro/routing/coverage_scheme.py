@@ -27,15 +27,15 @@ aggregate rate a metadata snapshot carries for Eq. 1), so it is also the
 only scheme that updates them.  NoMetadata hands out no snapshots and so
 keeps no contact history.
 
-The scheme keeps two kinds of derived state, both rebuilt on demand and
-left out of pickles (service snapshots): a per-node eviction heap and a
-per-node memo of background profiles.  Neither changes any decision; they
-only avoid recomputing what the previous event already computed.
+The scheme keeps one kind of derived state: a per-node memo of background
+profiles, rebuilt on demand and left out of pickles (service snapshots).
+It changes no decision; it only avoids rebuilding a profile the previous
+event already built.  The eviction index is the storage's own
+(:meth:`~repro.dtn.storage.NodeStorage.least_valuable`).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Tuple
 
 from ..core.expected_coverage import NodeProfile, build_node_profile
@@ -85,15 +85,13 @@ class CoverageSelectionScheme(RoutingScheme):
         self._reset_derived_state()
 
     def _reset_derived_state(self) -> None:
-        #: node id -> (storage generation, min-heap of eviction keys).
-        self._eviction_heaps: Dict[int, Tuple[int, List[tuple]]] = {}
         #: node id -> [(photos, probability, profile built from them)],
         #: least recently used first.
         self._profile_memo: Dict[int, List[Tuple[Tuple[Photo, ...], float, NodeProfile]]] = {}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_eviction_heaps"], state["_profile_memo"]
+        del state["_profile_memo"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -118,48 +116,16 @@ class CoverageSelectionScheme(RoutingScheme):
             return
         if node.storage.fits(photo):
             node.storage.add(photo)
-            built = self._eviction_heaps.get(node.node_id)
-            if built is not None and built[0] == node.storage.generation:
-                heapq.heappush(built[1], self._eviction_key(photo))
             return
-        heap = self._eviction_heap(node)
-        if not heap:
-            return
-        key = self._eviction_key(photo)
-        victim_incidences, _, victim = heap[0]
-        if key[0] > victim_incidences:
-            heapq.heappop(heap)
+        victim = node.storage.least_valuable(self._incidence_count)
+        if victim is not None and self._incidence_count(photo) > self._incidence_count(victim):
             node.storage.remove(victim.photo_id)
             if node.storage.fits(photo):
                 node.storage.add(photo)
-                heapq.heappush(heap, key)
 
-    def _eviction_key(self, photo: Photo) -> tuple:
-        """Eviction order: fewest covered PoIs first, then the newest photo.
-
-        The key is unique per photo and never changes, so a heap of keys
-        always yields the photo a full ``min()`` scan would.
-        """
-        return (len(self.sim.incidences(photo)), -photo.photo_id, photo)
-
-    def _eviction_heap(self, node: DTNNode) -> List[tuple]:
-        """*node*'s eviction heap, its top the current least useful photo.
-
-        Photo creation pushes onto the heap and eviction pops from it; a
-        :meth:`NodeStorage.replace_all` (contact, uplink, crash) bumps the
-        storage generation and the heap is rebuilt on its next use.
-        """
-        storage = node.storage
-        built = self._eviction_heaps.get(node.node_id)
-        if built is None or built[0] != storage.generation:
-            heap = [self._eviction_key(photo) for photo in storage.photos()]
-            heapq.heapify(heap)
-            self._eviction_heaps[node.node_id] = (storage.generation, heap)
-            return heap
-        heap = built[1]
-        while heap and heap[0][2].photo_id not in storage:
-            heapq.heappop(heap)  # lazily drop photos that left storage
-        return heap
+    def _incidence_count(self, photo: Photo) -> int:
+        """A photo's eviction value: the number of PoIs it covers."""
+        return len(self.sim.incidences(photo))
 
     # ------------------------------------------------------------------
     # Node-node contacts

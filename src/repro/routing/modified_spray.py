@@ -6,13 +6,17 @@ highest *individual* photo coverage first, and (b) when a receiving node
 is full, the stored photo with the least individual coverage is evicted
 (if the incoming photo beats it).  Crucially the utility of a photo is
 computed in isolation -- overlap between photos is ignored -- which is the
-precise limitation the paper's expected-coverage selection removes.
+precise limitation the paper's expected-coverage selection removes.  The
+victim comes from the storage's eviction index
+(:meth:`~repro.dtn.storage.NodeStorage.least_valuable`), the one our
+scheme uses too.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from ..core.coverage import CoverageValue
 from ..core.metadata import Photo
 from .base import individual_coverage
 from .registry import register_scheme
@@ -59,16 +63,14 @@ class ModifiedSprayScheme(SprayAndWaitScheme):
         Repeats until the incoming photo fits or no stored photo has lower
         coverage (with uniform 4 MB photos a single eviction suffices).
         """
-        incoming_value = individual_coverage(self.sim, incoming)
+        incoming_value = self._coverage(incoming)
         while not node.storage.fits(incoming):
-            photos = node.storage.photos()
-            if not photos:
-                return False
-            victim = min(
-                photos, key=lambda p: (individual_coverage(self.sim, p), -p.photo_id)
-            )
-            if individual_coverage(self.sim, victim) >= incoming_value:
+            victim = node.storage.least_valuable(self._coverage)
+            if victim is None or self._coverage(victim) >= incoming_value:
                 return False
             node.storage.remove(victim.photo_id)
             self._copies(node).pop(victim.photo_id, None)
         return True
+
+    def _coverage(self, photo: Photo) -> CoverageValue:
+        return individual_coverage(self.sim, photo)

@@ -1,143 +1,85 @@
-"""The coverage scheme's derived state never changes a decision.
+"""Derived state never changes a decision.
 
-:class:`~repro.routing.coverage_scheme.CoverageSelectionScheme` keeps two
-caches: a per-node eviction heap and a per-node memo of background
-profiles.  These tests pin both to the computation they replace:
+:class:`~repro.routing.coverage_scheme.CoverageSelectionScheme` keeps a
+per-node memo of background profiles, and every node's storage keeps an
+eviction index (:meth:`~repro.dtn.storage.NodeStorage.least_valuable`,
+pinned to a full scan in ``test_storage_eviction_index.py``) that our
+scheme and ModifiedSpray read.  These tests pin both to the computation
+they replace:
 
-* the heap's victim is always the photo a full ``min()`` scan over the
-  storage picks, through photo creations, evictions, ``replace_all`` and
-  crashes, in any order;
-* a run whose caches are wiped before every event gives the same
-  :class:`~repro.dtn.simulator.SimulationResult` as an ordinary run, under
-  a fault plan that truncates contacts, crashes nodes and corrupts
-  metadata snapshots;
-* neither cache is pickled, so a service snapshot restores with (and a
-  snapshot written before the caches existed restores into) empty caches.
+* a run whose profile memo and storage indexes are wiped before every
+  event gives the same :class:`~repro.dtn.simulator.SimulationResult` as
+  an ordinary run, for our scheme and for ModifiedSpray, under a fault
+  plan that truncates contacts, crashes nodes and corrupts metadata
+  snapshots (at scale 0.4, where both schemes evict: below it our scheme
+  never fills a node's storage under this plan);
+* the memo is not pickled, so a service snapshot restores with (and a
+  snapshot written before the memo existed restores into) an empty memo.
 """
 
 from __future__ import annotations
 
-import math
 import pickle
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.core.geometry import Point
-from repro.core.poi import PoI, PoIList
-from repro.dtn.simulator import Simulation, SimulationConfig
+from repro.dtn.storage import NodeStorage
 from repro.experiments.runner import run_scenario
 from repro.routing.coverage_scheme import CoverageSelectionScheme
-from repro.traces.model import ContactTrace
+from repro.routing.modified_spray import ModifiedSprayScheme
 
-from helpers import DISRUPTION_PLAN, MB, build_scenario, make_photo, result_digest
-
-POIS = [Point(0.0, 0.0), Point(60.0, 0.0), Point(0.0, 60.0)]
+from helpers import DISRUPTION_PLAN, build_scenario, make_photo, result_digest
 
 
-def _one_node_sim():
-    scheme = CoverageSelectionScheme()
-    sim = Simulation(
-        trace=ContactTrace([]),
-        pois=PoIList([PoI(location=point) for point in POIS]),
-        photo_arrivals=[],
-        scheme=scheme,
-        config=SimulationConfig(storage_bytes=12 * MB, effective_angle=math.radians(30.0)),
-    )
-    return sim, scheme, sim.ensure_node(1)
-
-
-def _scan_victim(sim, node):
-    """The eviction rule as a full scan (what the heap replaces)."""
-    return min(node.storage.photos(), key=lambda p: (len(sim.incidences(p)), -p.photo_id))
-
-
-def _heap_victim(scheme, node):
-    heap = scheme._eviction_heap(node)
-    return heap[0][2] if heap else None
-
-
-coordinate = st.floats(min_value=-80.0, max_value=140.0)
-new_photo = st.tuples(
-    coordinate, coordinate, st.floats(min_value=0.0, max_value=359.0), st.integers(1, 4)
-)
-operation = st.one_of(
-    st.tuples(st.just("create"), new_photo),
-    st.tuples(st.just("replace"), st.lists(st.booleans(), max_size=12), st.lists(new_photo, max_size=3)),
-    st.tuples(st.just("crash"), st.lists(st.booleans(), max_size=12)),
-)
-
-
-@given(operations=st.lists(operation, max_size=40))
-@settings(max_examples=80, deadline=None)
-def test_heap_victim_equals_full_scan(operations):
-    sim, scheme, node = _one_node_sim()
-
-    def photo(spec):
-        x, y, orientation, size_mb = spec
-        return make_photo(x, y, orientation, size_bytes=size_mb * MB)
-
-    for op in operations:
-        if op[0] == "create":
-            scheme.on_photo_created(node, photo(op[1]), 0.0)
-        else:
-            stored = node.storage.photos()
-            kept = [p for p, keep in zip(stored, op[1]) if keep]
-            if op[0] == "crash":
-                node.crash(surviving_photos=kept)
-                node.restart()
-            else:
-                candidates = kept + [photo(spec) for spec in op[2]]
-                fitting, used = [], 0
-                for p in candidates:
-                    if used + p.size_bytes <= node.storage.capacity_bytes:
-                        fitting.append(p)
-                        used += p.size_bytes
-                node.storage.replace_all(fitting)
-        if len(node.storage):
-            assert _heap_victim(scheme, node) is _scan_victim(sim, node)
-        else:
-            assert _heap_victim(scheme, node) is None
-
-
-def test_wiping_the_caches_before_every_event_changes_nothing(monkeypatch):
-    scenario = build_scenario(monkeypatch, 0.2, DISRUPTION_PLAN)
-    ordinary = run_scenario(scenario, "our-scheme")
+def _wiped_run_equals_ordinary(monkeypatch, scenario, scheme_name, scheme_class):
+    ordinary = run_scenario(scenario, scheme_name)
     assert ordinary.fault_counters.crashes > 0
     assert ordinary.fault_counters.contacts_truncated > 0
-    assert ordinary.fault_counters.metadata_snapshots_corrupted > 0
+    if scheme_name == "our-scheme":  # ModifiedSpray exchanges no metadata
+        assert ordinary.fault_counters.metadata_snapshots_corrupted > 0
 
-    wipes = [0]
+    wipes, queries = [0], [0]
+    least_valuable = NodeStorage.least_valuable
+
+    def counted(storage, value):
+        queries[0] += 1
+        return least_valuable(storage, value)
 
     def wiping(handler):
         def handle(self, *args, **kwargs):
             wipes[0] += 1
-            self._reset_derived_state()
+            if hasattr(self, "_reset_derived_state"):
+                self._reset_derived_state()
+            for node in self.sim.nodes.values():
+                node.storage._index = None
             return handler(self, *args, **kwargs)
 
         return handle
 
-    for name in ("on_photo_created", "on_contact", "on_command_center_contact"):
-        monkeypatch.setattr(
-            CoverageSelectionScheme, name, wiping(getattr(CoverageSelectionScheme, name))
-        )
-    wiped = run_scenario(scenario, "our-scheme")
-    assert wipes[0] > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(NodeStorage, "least_valuable", counted)
+        for name in ("on_photo_created", "on_contact", "on_command_center_contact"):
+            patch.setattr(scheme_class, name, wiping(getattr(scheme_class, name)))
+        wiped = run_scenario(scenario, scheme_name)
+    assert wipes[0] > 0 and queries[0] > 0
     assert result_digest(wiped) == result_digest(ordinary)
 
 
+def test_wiping_the_caches_before_every_event_changes_nothing(monkeypatch):
+    scenario = build_scenario(monkeypatch, 0.4, DISRUPTION_PLAN)
+    _wiped_run_equals_ordinary(monkeypatch, scenario, "our-scheme", CoverageSelectionScheme)
+    _wiped_run_equals_ordinary(monkeypatch, scenario, "modified-spray", ModifiedSprayScheme)
+
+
 def test_caches_are_not_pickled():
-    sim, scheme, node = _one_node_sim()
-    for i in range(6):
-        scheme.on_photo_created(node, make_photo(5.0 * i, 0.0, 180.0, size_bytes=3 * MB), 0.0)
-    assert scheme._eviction_heaps
+    scheme = CoverageSelectionScheme()
+    photos = tuple(make_photo(5.0 * i, 0.0, 180.0) for i in range(3))
+    scheme._profile_memo[7] = [(photos, 1.0, None)]
     restored = pickle.loads(pickle.dumps(scheme))
-    assert restored._eviction_heaps == {} and restored._profile_memo == {}
+    assert restored._profile_memo == {}
     assert restored.use_metadata_cache == scheme.use_metadata_cache
 
-    # A scheme pickled before the caches existed has no such attributes.
+    # A scheme pickled before the memo existed has no such attribute.
     legacy = scheme.__getstate__()
-    assert "_eviction_heaps" not in legacy and "_profile_memo" not in legacy
+    assert "_profile_memo" not in legacy
     revived = CoverageSelectionScheme.__new__(CoverageSelectionScheme)
     revived.__setstate__(legacy)
-    assert _heap_victim(revived, node) is _scan_victim(sim, node)
+    assert revived._profile_memo == {}

@@ -21,6 +21,7 @@ from repro.experiments.engine import (
     ResultCache,
     RunPlan,
     RunUnit,
+    default_engine,
 )
 from repro.experiments.persistence import averaged_to_dict, result_to_dict
 from repro.experiments.runner import PAPER_SCHEMES, _best_possible_config
@@ -202,6 +203,17 @@ class TestEngineMechanics:
         ExperimentEngine(workers=1, progress=seen.append).run(plan)
         assert [p.completed for p in seen] == list(range(1, len(plan) + 1))
         assert all(p.total == len(plan) for p in seen)
+
+    def test_default_engine_caches_under_repro_cache_dir(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_ENGINE_CACHE", str(tmp_path / "retired"))
+        assert default_engine().cache is None
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        engine = default_engine()
+        assert engine.cache.directory == tmp_path / "cache"
+        engine.run(RunPlan((RunUnit(spec=small_spec(), scheme="direct"),)))
+        assert list((tmp_path / "cache").glob("*.json"))
+        assert not (tmp_path / "retired").exists()
 
     def test_run_jobs_rejects_duplicate_labels(self):
         jobs = [("a", small_spec(), SCHEMES), ("a", small_spec(1), SCHEMES)]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import pytest
 
+from repro.core import metadata as metadata_module
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
 from repro.dtn.simulator import Simulation, SimulationConfig
@@ -381,10 +384,15 @@ class TestPhotoNet:
         assert far.photo_id in sim2.nodes[2].storage
         assert near.photo_id not in sim2.nodes[2].storage
 
-    def test_eviction_drops_closest_pair_member(self):
-        a = make_photo(0.0, 0.0, 0.0)
-        b = make_photo(1.0, 0.0, 0.0)  # near-duplicate of a
-        c = make_photo(5000.0, 5000.0, 0.0)
+    @staticmethod
+    def _closest_pair_eviction():
+        # One pinned colour: PhotoNet otherwise hashes the photo id into
+        # it, and at some id offsets the colour gap outweighs the 5 km
+        # between a and c.
+        colour = (0.5, 0.5, 0.5)
+        a = dataclasses.replace(make_photo(0.0, 0.0, 0.0), features=colour)
+        b = dataclasses.replace(make_photo(1.0, 0.0, 0.0), features=colour)  # near-duplicate of a
+        c = dataclasses.replace(make_photo(5000.0, 5000.0, 0.0), features=colour)
         sim = build_sim(
             PhotoNetScheme(),
             contacts=[],
@@ -396,6 +404,15 @@ class TestPhotoNet:
         held = set(sim.nodes[1].storage.photo_ids())
         assert c.photo_id in held
         assert len(held & {a.photo_id, b.photo_id}) == 1
+
+    def test_eviction_drops_closest_pair_member(self):
+        self._closest_pair_eviction()
+
+    @pytest.mark.parametrize("offset", [244, 428])
+    def test_eviction_ignores_the_photo_id_offset(self, monkeypatch, offset):
+        """Offsets at which id-hashed colours broke the closest-pair eviction."""
+        monkeypatch.setattr(metadata_module, "_photo_ids", itertools.count(offset))
+        self._closest_pair_eviction()
 
     def test_delivers_by_diversity_not_coverage(self):
         """PhotoNet wastes the uplink on a spatially-far junk photo.
