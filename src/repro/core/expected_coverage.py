@@ -478,8 +478,18 @@ class SelectionEvaluator:
         return [self.gain_of(photo) for photo in photos]
 
     def add(self, photo: Photo) -> CoverageValue:
-        """Commit *photo* to the free node's tentative selection."""
+        """Commit *photo* to the free node's tentative selection; returns
+        its marginal gain just before the commit."""
         gain = self.gain_of(photo)
+        self._commit(photo)
+        return gain
+
+    def _commit(self, photo: Photo) -> Tuple[int, ...]:
+        """Commit *photo* without evaluating its gain (the caller holds it).
+
+        Returns the ids of the PoIs it touched: the photo's own, the only
+        ones where the tentative selection changes.
+        """
         point_ids, arcs = self.index.incidence_arcs(photo)
         self._selected_pois.update(point_ids)
         for poi_id, segments in arcs:
@@ -489,7 +499,7 @@ class SelectionEvaluator:
                 self._selected_arcs[poi_id] = arcset
             for lo, hi in segments:
                 arcset.add_segment(lo, hi)
-        return gain
+        return point_ids
 
     def selection_profile(self, node_id: int, photos: Iterable[Photo]) -> NodeProfile:
         """Package the final selection as a :class:`NodeProfile` so it can be

@@ -141,30 +141,45 @@ def greedy_select(
     initial_gains = evaluator.gain_of_batch(pool)
     gain_evaluations += len(pool)
     for photo, gain in zip(pool, initial_gains):
-        if require_positive_gain and not gain.is_positive():
+        point, aspect = gain.point, gain.aspect
+        # Lexicographically positive, as CoverageValue.is_positive.
+        if require_positive_gain and not (point > 0.0 or (point == 0.0 and aspect > 0.0)):
             # Submodularity: a photo with no gain now never gains later.
             continue
-        heap.append((-gain.point, -gain.aspect, photo.size_bytes, photo.photo_id, photo))
+        heap.append((-point, -aspect, photo.size_bytes, photo.photo_id, photo))
     heapq.heapify(heap)
     # The initial pool scan is the expected-coverage enumeration phase.
     enumeration_s = (perf_counter() - started) if telemetry is not None else 0.0
 
-    version = 0  # bumps on every committed photo
-    freshness: Dict[int, int] = {photo.photo_id: 0 for *_rest, photo in heap}
+    # PoI-scoped staleness: a photo's gain reads the tentative selection
+    # only at the photo's own PoIs, and a commit writes it only at the
+    # committed photo's PoIs.  So a heap key is still the photo's exact
+    # gain unless a commit since its evaluation touched one of its PoIs.
+    incidence_arcs = index.incidence_arcs
+    commits = 0
+    touched_at: Dict[int, int] = {}  # PoI id -> the commit that last touched it
+    evaluated_at: Dict[int, int] = {}  # photo id -> commits before its key; absent = 0
 
     while heap:
         iterations += 1
         neg_point, neg_aspect, size, photo_id, photo = heapq.heappop(heap)
         if budget is not None and size > budget:
             continue  # the budget only shrinks; this photo is out for good
-        if freshness[photo_id] == version:
-            gain = CoverageValue(-neg_point, -neg_aspect)
-            if require_positive_gain and not gain.is_positive():
-                break
-            evaluator.add(photo)
+        seen = evaluated_at.get(photo_id, 0)
+        if seen != commits:
+            for poi_id in incidence_arcs(photo)[0]:
+                if touched_at.get(poi_id, 0) > seen:
+                    break
+            else:
+                seen = commits
+        if seen == commits:
+            # Every key in the heap was pushed with a positive gain when
+            # require_positive_gain, so a fresh top is committed as is.
             selection.photos.append(photo)
-            selection.gains.append(gain)
-            version += 1
+            selection.gains.append(CoverageValue(-neg_point, -neg_aspect))
+            commits += 1
+            for poi_id in evaluator._commit(photo):
+                touched_at[poi_id] = commits
             if budget is not None:
                 budget -= size
                 if budget <= 0:
@@ -172,10 +187,11 @@ def greedy_select(
         else:
             gain = evaluator.gain_of(photo)
             gain_evaluations += 1
-            freshness[photo_id] = version
-            if require_positive_gain and not gain.is_positive():
+            evaluated_at[photo_id] = commits
+            point, aspect = gain.point, gain.aspect
+            if require_positive_gain and not (point > 0.0 or (point == 0.0 and aspect > 0.0)):
                 continue
-            heapq.heappush(heap, (-gain.point, -gain.aspect, size, photo_id, photo))
+            heapq.heappush(heap, (-point, -aspect, size, photo_id, photo))
 
     if telemetry is not None:
         telemetry.on_selection(

@@ -218,8 +218,12 @@ def _make_room(
         (p for p in collection if p.photo_id not in target_ids),
         key=lambda p: p.photo_id,
     )
+    victim_ids: Set[int] = set()
     while evictable and used + incoming_size > capacity:
         victim = evictable.pop()
-        collection.remove(victim)
+        victim_ids.add(victim.photo_id)
         used -= victim.size_bytes
+    if victim_ids:
+        # One order-preserving pass, in place: the caller keeps this list.
+        collection[:] = [p for p in collection if p.photo_id not in victim_ids]
     return used

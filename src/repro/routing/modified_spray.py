@@ -14,7 +14,7 @@ scheme uses too.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ..core.coverage import CoverageValue
 from ..core.metadata import Photo
@@ -42,11 +42,14 @@ class ModifiedSprayScheme(SprayAndWaitScheme):
 
     def transmit_order(self, node: DTNNode) -> List[Photo]:
         """Highest individual coverage first (ties: oldest photo first)."""
-        return sorted(
-            node.storage.photos(),
-            key=lambda p: (individual_coverage(self.sim, p), -p.photo_id),
-            reverse=True,
-        )
+        return sorted(node.storage.photos(), key=self._order_key, reverse=True)
+
+    def _order_key(self, photo: Photo) -> Tuple[float, float, int]:
+        # The coverage's float fields, not the CoverageValue itself: the
+        # same lexicographic order without a dataclass ``__eq__`` per
+        # tuple comparison.
+        value = individual_coverage(self.sim, photo)
+        return (value.point, value.aspect, -photo.photo_id)
 
     def accept(self, receiver: DTNNode, photo: Photo) -> bool:
         if receiver.storage.fits(photo):

@@ -260,9 +260,20 @@ class CommandCenterServer:
         return manifest
 
     def request_shutdown(self) -> None:
-        """Ask the server to stop; safe to call from any thread."""
-        if self._loop is not None and self._shutdown_event is not None:
-            self._loop.call_soon_threadsafe(self._shutdown_event.set)
+        """Ask the server to stop; safe to call from any thread.
+
+        A no-op once the server has stopped: a client ``shutdown`` request
+        may already have ended :meth:`run` and closed its event loop.
+        """
+        loop, event = self._loop, self._shutdown_event
+        if loop is None or event is None:
+            return
+        try:
+            loop.call_soon_threadsafe(event.set)
+        except RuntimeError:
+            # The loop can close between any check and this call.
+            if not loop.is_closed():
+                raise
 
     def build_manifest(self) -> Dict[str, Any]:
         """The service-session manifest for the current state."""

@@ -248,6 +248,17 @@ class TestManifest:
         assert "p95_s" in champion["latency"]
         assert server.last_manifest is not None
 
+    def test_request_shutdown_after_the_server_stopped_is_a_no_op(self, pois):
+        server = CommandCenterServer(pois=pois, port=0)
+        thread = threading.Thread(target=server.run, daemon=True)
+        thread.start()
+        assert server.ready.wait(10.0), "server failed to bind"
+        with ServiceClient(*server.address) as client:
+            client.shutdown()
+        thread.join(10.0)
+        assert not thread.is_alive(), "server thread failed to stop"
+        server.request_shutdown()
+
 
 class TestLiveReplayByteIdentical:
     """The tentpole guarantee, proven over real sockets."""
