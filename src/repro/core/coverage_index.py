@@ -129,16 +129,6 @@ class CoverageIndex:
         self._arc_cache[photo.photo_id] = result
         return result
 
-    def precompute(self, photos: Iterable[Photo]) -> None:
-        """Warm the incidence and arc caches for a batch of photos.
-
-        Selection latency benchmarks and the always-on service mode call
-        this at ingest time so the first contact that touches a photo does
-        not pay the geometry cost inside its timed hot path.
-        """
-        for photo in photos:
-            self.incidence_arcs(photo)
-
     def covers_anything(self, photo: Photo) -> bool:
         """Whether the photo covers at least one PoI (relevance filter)."""
         return bool(self.incidences(photo))

@@ -26,7 +26,8 @@ used by the greedy selection algorithm: with every node's collection except
 one frozen, the marginal expected gain of adding a photo to the free node
 reduces to ``p_free * integral of the background survival function`` over
 the newly covered aspect range -- evaluated lazily per PoI the candidate
-photo covers.
+photo covers.  Both build that per-PoI survival function with the one
+sweep in :class:`_PoIBackground`.
 
 Everything here runs in pure python; only the Monte-Carlo test oracle
 :func:`expected_coverage_sampled` imports numpy, when it is called.
@@ -128,43 +129,22 @@ def _clip_length(lo: float, hi: float, restriction: Optional[List[Tuple[float, f
     return length
 
 
-def _expected_aspect_for_poi(
-    poi,
-    contributions: Sequence[Tuple[float, ArcSet]],
-) -> float:
-    """Exact expected covered measure on one PoI via the endpoint sweep.
-
-    *contributions* is a list of ``(delivery_probability, arcs)`` pairs, one
-    per node covering this PoI.  The circle is cut at every arc endpoint;
-    inside an elementary segment the set of covering nodes is constant, so
-    the coverage probability is ``1 - prod (1 - p_i)`` over exactly those
-    nodes.
-    """
-    restriction = _restriction_segments(poi)
-    breakpoints = {0.0, TWO_PI}
-    for _, arcs in contributions:
-        for lo, hi in arcs.segments():
-            breakpoints.add(lo)
-            breakpoints.add(hi)
-    if restriction is not None:
-        for lo, hi in restriction:
-            breakpoints.add(lo)
-            breakpoints.add(hi)
-    cuts = sorted(breakpoints)
-    expected = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo <= 1e-15:
+def _fold_profiles(
+    profiles: Iterable[NodeProfile],
+) -> Tuple[Dict[int, List[Tuple[float, ArcSet]]], Dict[int, float]]:
+    """Fold *profiles* into per-PoI ``(p, arcs)`` contributions and point
+    survival ``prod (1 - p_i)``; a node with ``p <= 0`` contributes nothing."""
+    contributions: Dict[int, List[Tuple[float, ArcSet]]] = {}
+    point_survival: Dict[int, float] = {}
+    for profile in profiles:
+        p = profile.delivery_probability
+        if p <= 0.0:
             continue
-        mid = 0.5 * (lo + hi)
-        survival = 1.0
-        for probability, arcs in contributions:
-            if arcs.contains(mid):
-                survival *= 1.0 - probability
-                if survival == 0.0:
-                    break
-        if survival < 1.0:
-            expected += (1.0 - survival) * _clip_length(lo, hi, restriction)
-    return poi.weight * expected
+        for poi_id in profile.covered_pois:
+            point_survival[poi_id] = point_survival.get(poi_id, 1.0) * (1.0 - p)
+        for poi_id, arcs in profile.arcs_by_poi.items():
+            contributions.setdefault(poi_id, []).append((p, arcs))
+    return contributions, point_survival
 
 
 def expected_coverage(
@@ -174,26 +154,19 @@ def expected_coverage(
     """Exact ``C_ex(M)`` over the nodes described by *profiles*.
 
     Polynomial-time equivalent of Definition 2; see the module docstring
-    for the derivation.
+    for the derivation.  The aspect term sweeps each PoI's survival
+    function, the one :class:`SelectionEvaluator` integrates.
     """
-    by_poi: Dict[int, List[Tuple[float, ArcSet]]] = {}
-    point_survival: Dict[int, float] = {}
-    for profile in profiles:
-        p = profile.delivery_probability
-        if p <= 0.0:
-            continue
-        for poi_id in profile.covered_pois:
-            point_survival[poi_id] = point_survival.get(poi_id, 1.0) * (1.0 - p)
-        for poi_id, arcs in profile.arcs_by_poi.items():
-            by_poi.setdefault(poi_id, []).append((p, arcs))
+    contributions, point_survival = _fold_profiles(profiles)
 
     expected_point = 0.0
     for poi_id, survival in point_survival.items():
         expected_point += index.pois[poi_id].weight * (1.0 - survival)
 
     expected_aspect = 0.0
-    for poi_id, contributions in by_poi.items():
-        expected_aspect += _expected_aspect_for_poi(index.pois[poi_id], contributions)
+    for poi_id, poi_contributions in contributions.items():
+        background = _PoIBackground(index.pois[poi_id], poi_contributions, 1.0)
+        expected_aspect += background.expected_aspect()
 
     return CoverageValue(expected_point, expected_aspect)
 
@@ -297,9 +270,12 @@ class _PoIBackground:
     """Piecewise-constant survival function of the background nodes on one PoI.
 
     ``survival(v) = prod over background nodes covering aspect v of
-    (1 - p_i)`` -- zero wherever a certain node covers.  Stored as sorted
-    elementary segments ``(lo, hi, survival)`` spanning ``[0, 2*pi]``.
-    ``point_survival`` is the same product for point coverage.
+    (1 - p_i)`` -- zero wherever a certain node covers.  The circle is cut
+    at every arc endpoint; inside an elementary segment the set of covering
+    nodes is constant, so its survival is the product at the midpoint.
+    Stored as sorted segments ``(lo, hi, survival)`` spanning
+    ``[0, 2*pi]``.  ``point_survival`` is the same product for point
+    coverage.
     """
 
     __slots__ = ("segments", "point_survival", "restriction", "weight")
@@ -331,6 +307,21 @@ class _PoIBackground:
                     if survival == 0.0:
                         break
             self.segments.append((lo, hi, survival))
+
+    def expected_aspect(self) -> float:
+        """Expected covered aspect measure: ``integral of (1 - survival)``
+        over the important aspects, times the PoI's weight."""
+        # One term per overlap with an important-aspect segment, as if the
+        # circle were also cut at the restriction's ends.
+        restriction = ((0.0, TWO_PI),) if self.restriction is None else self.restriction
+        expected = 0.0
+        for lo, hi, survival in self.segments:
+            if survival < 1.0:
+                for r_lo, r_hi in restriction:
+                    overlap = min(hi, r_hi) - max(lo, r_lo)
+                    if overlap > 0.0:
+                        expected += (1.0 - survival) * overlap
+        return self.weight * expected
 
     def integrate_survival(self, lo: float, hi: float, exclude) -> float:
         """``integral of survival`` over ``[lo, hi]`` minus *exclude* segments,
@@ -409,18 +400,8 @@ class SelectionEvaluator:
             raise ValueError(f"free_probability must be in [0, 1], got {free_probability}")
         self.index = index
         self.free_probability = free_probability
-        self._background = list(background)
         self._profiles: Dict[int, _PoIBackground] = {}
-        self._contributions: Dict[int, List[Tuple[float, ArcSet]]] = {}
-        self._point_survival: Dict[int, float] = {}
-        for profile in self._background:
-            p = profile.delivery_probability
-            if p <= 0.0:
-                continue
-            for poi_id in profile.covered_pois:
-                self._point_survival[poi_id] = self._point_survival.get(poi_id, 1.0) * (1.0 - p)
-            for poi_id, arcs in profile.arcs_by_poi.items():
-                self._contributions.setdefault(poi_id, []).append((p, arcs))
+        self._contributions, self._point_survival = _fold_profiles(background)
         # Tentative selection state for the free node.
         self._selected_arcs: Dict[int, ArcSet] = {}
         self._selected_pois: set = set()
@@ -500,8 +481,3 @@ class SelectionEvaluator:
             for lo, hi in segments:
                 arcset.add_segment(lo, hi)
         return point_ids
-
-    def selection_profile(self, node_id: int, photos: Iterable[Photo]) -> NodeProfile:
-        """Package the final selection as a :class:`NodeProfile` so it can be
-        frozen into the background of the next selection phase."""
-        return build_node_profile(self.index, node_id, photos, self.free_probability)

@@ -110,16 +110,14 @@ def greedy_select(
     pool: Sequence[Photo],
     storage: StorageSpec,
     background: Sequence[NodeProfile],
-    require_positive_gain: bool = True,
 ) -> NodeSelection:
     """Fill one node's storage greedily from *pool* (problem (3) of the paper).
 
     Each step scans the remaining pool and commits the photo with the
     lexicographically largest marginal expected gain.  Ties break toward
     the smaller photo, then the smaller ``photo_id`` (deterministic runs).
-    Selection stops when the storage cannot fit any remaining photo or --
-    when *require_positive_gain* -- no photo strictly improves expected
-    coverage.
+    Selection stops when the storage cannot fit any remaining photo or no
+    photo strictly improves expected coverage.
     """
     evaluator = SelectionEvaluator(index, background, storage.delivery_probability)
     selection = NodeSelection(node_id=storage.node_id)
@@ -143,7 +141,7 @@ def greedy_select(
     for photo, gain in zip(pool, initial_gains):
         point, aspect = gain.point, gain.aspect
         # Lexicographically positive, as CoverageValue.is_positive.
-        if require_positive_gain and not (point > 0.0 or (point == 0.0 and aspect > 0.0)):
+        if not (point > 0.0 or (point == 0.0 and aspect > 0.0)):
             # Submodularity: a photo with no gain now never gains later.
             continue
         heap.append((-point, -aspect, photo.size_bytes, photo.photo_id, photo))
@@ -173,8 +171,8 @@ def greedy_select(
             else:
                 seen = commits
         if seen == commits:
-            # Every key in the heap was pushed with a positive gain when
-            # require_positive_gain, so a fresh top is committed as is.
+            # Every key in the heap was pushed with a positive gain, so a
+            # fresh top is committed as is.
             selection.photos.append(photo)
             selection.gains.append(CoverageValue(-neg_point, -neg_aspect))
             commits += 1
@@ -189,7 +187,7 @@ def greedy_select(
             gain_evaluations += 1
             evaluated_at[photo_id] = commits
             point, aspect = gain.point, gain.aspect
-            if require_positive_gain and not (point > 0.0 or (point == 0.0 and aspect > 0.0)):
+            if not (point > 0.0 or (point == 0.0 and aspect > 0.0)):
                 continue
             heapq.heappush(heap, (-point, -aspect, size, photo_id, photo))
 
@@ -210,7 +208,6 @@ def greedy_select_reference(
     pool: Sequence[Photo],
     storage: StorageSpec,
     background: Sequence[NodeProfile],
-    require_positive_gain: bool = True,
 ) -> NodeSelection:
     """Naive evaluate-all-candidates greedy: the full-rebuild reference.
 
@@ -253,7 +250,7 @@ def greedy_select_reference(
         if best is None:
             break
         _, photo, gain = best
-        if require_positive_gain and not gain.is_positive():
+        if not gain.is_positive():
             break
         selection.photos.append(photo)
         selection.gains.append(gain)

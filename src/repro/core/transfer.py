@@ -16,6 +16,7 @@ paper's "photo collections gradually become the same as the solution".
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set
@@ -214,15 +215,15 @@ def _make_room(
     """
     if used + incoming_size <= capacity:
         return used
-    evictable = sorted(
-        (p for p in collection if p.photo_id not in target_ids),
-        key=lambda p: p.photo_id,
-    )
+    # Victims go highest photo id first; a heap pops them in that order
+    # without sorting photos that are never evicted.
+    evictable = [(-p.photo_id, p.size_bytes) for p in collection if p.photo_id not in target_ids]
+    heapq.heapify(evictable)
     victim_ids: Set[int] = set()
     while evictable and used + incoming_size > capacity:
-        victim = evictable.pop()
-        victim_ids.add(victim.photo_id)
-        used -= victim.size_bytes
+        neg_id, size = heapq.heappop(evictable)
+        victim_ids.add(-neg_id)
+        used -= size
     if victim_ids:
         # One order-preserving pass, in place: the caller keeps this list.
         collection[:] = [p for p in collection if p.photo_id not in victim_ids]

@@ -239,6 +239,27 @@ class Simulation:
             return True
         return False
 
+    def uplink(self, photos: Iterable[Photo], duration_s: float) -> List[Photo]:
+        """Send *photos* to the command center, in order, over an uplink of
+        *duration_s* seconds; returns the photos that arrived intact.
+
+        Sending stops at the first photo that no longer fits the contact's
+        :meth:`byte_budget`.  A corrupted photo still spends its bytes; each
+        intact one is handed to :meth:`deliver`.
+        """
+        budget = self.byte_budget(duration_s)
+        used = 0
+        arrived: List[Photo] = []
+        for photo in photos:
+            if budget is not None and used + photo.size_bytes > budget:
+                break
+            used += photo.size_bytes
+            if not self.transfer_survives(photo):
+                continue  # corrupted in flight: bytes spent, nothing delivered
+            self.deliver(photo)
+            arrived.append(photo)
+        return arrived
+
     def center_coverage(self) -> CoverageValue:
         """The command center's current (un-normalized) photo coverage."""
         return self._cc_coverage.total()
@@ -277,6 +298,32 @@ class Simulation:
                 node.faults = self.faults
             self.nodes[node_id] = node
         return node
+
+    def crash_node(self, node_id: int) -> bool:
+        """Crash participant *node_id* under the fault plan; returns False
+        (and does nothing) for an unknown or already-crashed node.
+
+        The plan's storage-loss draw picks the photos that survive, and
+        ``cache_loss_on_crash`` decides whether protocol state is wiped.
+        """
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive:
+            return False
+        assert self.faults is not None
+        node.crash(
+            surviving_photos=self.faults.surviving_photos(node.storage.photos()),
+            wipe_protocol_state=self.config.fault_plan.cache_loss_on_crash,
+        )
+        self.result.fault_counters.crashes += 1
+        return True
+
+    def restart_node(self, node_id: int) -> None:
+        """Bring crashed participant *node_id* back up (no-op otherwise)."""
+        node = self.nodes.get(node_id)
+        if node is None or node.alive:
+            return
+        node.restart()
+        self.result.fault_counters.restarts += 1
 
     def handle_photo_created(self, owner_id: int, photo: Photo, now: float) -> bool:
         """A participant takes *photo* at *now*; returns True if dispatched.
@@ -375,7 +422,6 @@ class Simulation:
         return self.result
 
     def _run_loop(self) -> None:
-        counters = self.result.fault_counters
         while self._queue:
             event = self._queue.pop()
             self._now = event.time
@@ -388,23 +434,12 @@ class Simulation:
                 self.handle_contact(node_a_id, node_b_id, event.time, duration, scale)
             elif event.kind == EventKind.NODE_CRASH:
                 node_id, restart_time = event.payload
-                node = self.nodes.get(node_id)
-                if node is None or not node.alive:
-                    continue  # unknown node or already down: crash merges
-                assert self.faults is not None
-                survivors = self.faults.surviving_photos(node.storage.photos())
-                node.crash(
-                    surviving_photos=survivors,
-                    wipe_protocol_state=self.config.fault_plan.cache_loss_on_crash,
-                )
-                counters.crashes += 1
-                self._queue.push(Event(restart_time, EventKind.NODE_RESTART, node_id))
+                # No restart for an unknown node or one already down: the
+                # crash merges into the outage.
+                if self.crash_node(node_id):
+                    self._queue.push(Event(restart_time, EventKind.NODE_RESTART, node_id))
             elif event.kind == EventKind.NODE_RESTART:
-                node = self.nodes.get(event.payload)
-                if node is None or node.alive:
-                    continue
-                node.restart()
-                counters.restarts += 1
+                self.restart_node(event.payload)
             elif event.kind == EventKind.SAMPLE:
                 self._record_sample(event.time)
             elif event.kind == EventKind.END:

@@ -51,15 +51,6 @@ def _engine(engine: Optional["ExperimentEngine"]) -> "ExperimentEngine":
     return engine or default_engine()
 
 
-def _run_averaged(
-    spec: ScenarioSpec,
-    scheme_name: str,
-    num_runs: int,
-    engine: Optional["ExperimentEngine"] = None,
-) -> AveragedResult:
-    return _engine(engine).run_comparison(spec, (scheme_name,), num_runs)[scheme_name]
-
-
 def sweep_validity_threshold(
     thresholds: Sequence[float] = (0.2, 0.5, 0.8, 0.95),
     scale: float = 0.2,

@@ -71,13 +71,6 @@ def run_telemetry_study(
     return engine.last_manifest
 
 
-def _counter_total(metrics: Dict[str, Any], name: str) -> float:
-    family = metrics.get(name)
-    if not family:
-        return 0.0
-    return sum(sample["value"] for sample in family.get("samples", []))
-
-
 def telemetry_report(manifest: Dict[str, Any]) -> str:
     """Summarize a run manifest as the text tables the CLI prints."""
     metrics = manifest.get("metrics", {})

@@ -275,17 +275,7 @@ class CoverageSelectionScheme(RoutingScheme):
             StorageSpec(center.node_id, None, 1.0),
             background,
         )
-        budget = self.sim.byte_budget(duration)
-        used = 0
-        delivered: List[Photo] = []
-        for photo in selection.photos:
-            if budget is not None and used + photo.size_bytes > budget:
-                break
-            used += photo.size_bytes
-            if not self.sim.transfer_survives(photo):
-                continue  # corrupted uplink: bytes spent, nothing delivered
-            self.sim.deliver(photo)
-            delivered.append(photo)
+        self.sim.uplink(selection.photos, duration)
 
         # Acknowledgment: the node re-selects its collection against the
         # command center's updated archive, dropping redundant photos.

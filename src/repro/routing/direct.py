@@ -29,13 +29,6 @@ class DirectDeliveryScheme(RoutingScheme):
         """Peers exchange nothing; photos move only on uplinks."""
 
     def on_command_center_contact(self, node, center, now: float, duration: float) -> None:
-        budget = self.sim.byte_budget(duration)
-        used = 0
-        for photo in node.storage.photos():
-            if budget is not None and used + photo.size_bytes > budget:
-                break
-            used += photo.size_bytes
-            if not self.sim.transfer_survives(photo):
-                continue  # failed uplink: retry at the next visit
-            self.sim.deliver(photo)
+        # A photo that failed the uplink stays for a retry at the next visit.
+        for photo in self.sim.uplink(node.storage.photos(), duration):
             node.storage.remove(photo.photo_id)

@@ -49,14 +49,6 @@ class EpidemicScheme(RoutingScheme):
         return used
 
     def on_command_center_contact(self, node, center, now: float, duration: float) -> None:
-        budget = self.sim.byte_budget(duration)
-        used = 0
-        for photo in node.storage.photos():
-            if budget is not None and used + photo.size_bytes > budget:
-                break
-            used += photo.size_bytes
-            if not self.sim.transfer_survives(photo):
-                continue
-            self.sim.deliver(photo)
-            # Epidemic keeps its copy: other replicas exist anyway and the
-            # protocol has no acknowledgment channel.
+        # Epidemic keeps its copies: other replicas exist anyway and the
+        # protocol has no acknowledgment channel.
+        self.sim.uplink(node.storage.photos(), duration)

@@ -80,17 +80,10 @@ class SprayAndWaitScheme(RoutingScheme):
     def on_command_center_contact(
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
-        budget = self.sim.byte_budget(duration)
-        used = 0
         copies = self._copies(node)
-        for photo in self.transmit_order(node):
-            if budget is not None and used + photo.size_bytes > budget:
-                break
-            used += photo.size_bytes
-            if not self.sim.transfer_survives(photo):
-                continue  # failed uplink: the node keeps its copy
-            self.sim.deliver(photo)
-            # Delivery completes the bundle; the node releases its copies.
+        # Delivery completes the bundle: the node releases its copies.  A
+        # photo that failed the uplink stays with its copies.
+        for photo in self.sim.uplink(self.transmit_order(node), duration):
             node.storage.remove(photo.photo_id)
             copies.pop(photo.photo_id, None)
 

@@ -208,26 +208,15 @@ class ServiceSession:
     def _run_churn(self, now: float) -> None:
         """Apply every crash/restart transition due at or before *now*."""
         sim = self.simulation
-        counters = sim.result.fault_counters
         while self._churn_heap and self._churn_heap[0][0] <= now:
             when, kind, node_id, restart_time = heapq.heappop(self._churn_heap)
-            node = sim.nodes.get(node_id)
             if kind == self._CRASH:
-                if node is not None and node.alive:
-                    assert sim.faults is not None
-                    survivors = sim.faults.surviving_photos(node.storage.photos())
-                    node.crash(
-                        surviving_photos=survivors,
-                        wipe_protocol_state=sim.config.fault_plan.cache_loss_on_crash,
-                    )
-                    counters.crashes += 1
+                sim.crash_node(node_id)
                 heapq.heappush(
                     self._churn_heap, (restart_time, self._RESTART, node_id, restart_time)
                 )
             else:
-                if node is not None and not node.alive:
-                    node.restart()
-                    counters.restarts += 1
+                sim.restart_node(node_id)
                 self._schedule_crash(node_id, when, self._churn_tracked[node_id])
 
     # ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.core.angular import ArcSet, AngularInterval
 from repro.core.coverage_index import CoverageIndex, PoICoverageState
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
-from repro.core.selection import StorageSpec, greedy_select
 from repro.routing.base import individual_coverage
 from repro.routing.coverage_scheme import CoverageSelectionScheme, NoMetadataScheme
 
@@ -18,32 +17,6 @@ from helpers import MB, make_photo, photo_at_aspect
 
 THETA = math.radians(30.0)
 PHOTO = 4 * MB
-
-
-class TestGreedySelectWithoutPositiveGainRequirement:
-    def test_fills_storage_with_zero_gain_photos(self):
-        index = CoverageIndex(PoIList.from_points([Point(0.0, 0.0)]), effective_angle=THETA)
-        useful = photo_at_aspect(Point(0.0, 0.0), 0.0)
-        junk = make_photo(9000.0, 9000.0, 0.0)
-        selection = greedy_select(
-            index,
-            [useful, junk],
-            StorageSpec(1, 2 * PHOTO, 0.9),
-            [],
-            require_positive_gain=False,
-        )
-        # Both photos are taken: the useful one first, then the junk filler.
-        assert selection.photos[0] == useful
-        assert junk in selection.photos
-
-    def test_still_respects_capacity(self):
-        index = CoverageIndex(PoIList.from_points([Point(0.0, 0.0)]), effective_angle=THETA)
-        photos = [make_photo(9000.0, float(i), 0.0) for i in range(4)]
-        selection = greedy_select(
-            index, photos, StorageSpec(1, 2 * PHOTO, 0.5), [],
-            require_positive_gain=False,
-        )
-        assert selection.total_bytes <= 2 * PHOTO
 
 
 class TestRestrictedAspectsInIndexState:

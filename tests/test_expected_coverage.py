@@ -263,12 +263,3 @@ class TestSelectionEvaluator:
         evaluator = SelectionEvaluator(index, [], 1.0)
         useless = make_photo(9999.0, 9999.0, 0.0)
         assert evaluator.gain_of(useless) == CoverageValue.ZERO
-
-    def test_selection_profile_roundtrip(self):
-        index = small_index()
-        evaluator = SelectionEvaluator(index, [], 0.5)
-        photos = [photo_at_aspect(Point(0, 0), 0.0)]
-        profile = evaluator.selection_profile(7, photos)
-        assert profile.node_id == 7
-        assert profile.delivery_probability == 0.5
-        assert profile.covered_pois == {0}

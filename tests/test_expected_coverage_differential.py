@@ -13,10 +13,12 @@ three must agree within documented tolerances:
   error per PoI is at most 0.5/sqrt(N); with N = 4000 and 3 PoIs a 6-sigma
   band is ~0.14 in summed point coverage (aspect scales by 2*pi).
 
-The incremental ``SelectionEvaluator`` is checked against the sweep too:
-its marginal gain after any committed photos must equal the difference of
-two exact expected coverages, on PoIs with and without important-aspect
-restrictions.
+Both checks against the enumeration draw PoIs with and without
+important-aspect restrictions.  The incremental ``SelectionEvaluator`` is
+checked against the enumeration too, not against the sweep, whose
+per-PoI survival function it shares: its marginal gain after any
+committed photos must equal the difference of two enumerated expected
+coverages.
 
 Everything in this module except the cases that call
 ``expected_coverage_sampled`` (it imports numpy) runs with numpy absent.
@@ -80,12 +82,30 @@ def _random_profiles(rng: random.Random, index: CoverageIndex, num_nodes: int):
     return profiles
 
 
+def _restricted_pois(rng: random.Random):
+    """The POIS grid, some with a random important-aspects restriction."""
+    pois = []
+    for point in POIS:
+        if rng.random() < 0.5:
+            arcs = ArcSet(
+                AngularInterval.around(
+                    rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.5)
+                )
+                for _ in range(rng.randint(1, 2))
+            )
+            pois.append(PoI(location=point, important_aspects=arcs))
+        else:
+            pois.append(PoI(location=point))
+    return PoIList(pois)
+
+
 class TestSweepAgainstEnumeration:
     @given(seed=st.integers(min_value=0, max_value=10_000), m=st.integers(min_value=0, max_value=8))
     @settings(max_examples=120, deadline=None)
     def test_polynomial_sweep_matches_definition_2(self, seed, m):
-        index = _index()
-        profiles = _random_profiles(random.Random(seed), index, m)
+        rng = random.Random(seed)
+        index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
+        profiles = _random_profiles(rng, index, m)
         exact = expected_coverage(index, profiles)
         enumerated = expected_coverage_enumerated(index, profiles)
         assert exact.point == pytest.approx(enumerated.point, rel=1e-9, abs=1e-12)
@@ -132,23 +152,6 @@ class TestEvaluatorEdgeAgreement:
         assert exact.aspect == pytest.approx(sampled.aspect, rel=1e-9)
 
 
-def _restricted_pois(rng: random.Random):
-    """The POIS grid, some with a random important-aspects restriction."""
-    pois = []
-    for point in POIS:
-        if rng.random() < 0.5:
-            arcs = ArcSet(
-                AngularInterval.around(
-                    rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.5)
-                )
-                for _ in range(rng.randint(1, 2))
-            )
-            pois.append(PoI(location=point, important_aspects=arcs))
-        else:
-            pois.append(PoI(location=point))
-    return PoIList(pois)
-
-
 def _random_pool(rng: random.Random, size: int):
     return [
         photo_at_aspect(rng.choice(POIS), rng.uniform(0.0, 360.0))
@@ -157,7 +160,7 @@ def _random_pool(rng: random.Random, size: int):
 
 
 class TestEvaluatorAgainstSweep:
-    """``SelectionEvaluator`` gains == exact expected-coverage deltas."""
+    """``SelectionEvaluator`` gains == Definition-2 enumeration deltas."""
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -175,11 +178,11 @@ class TestEvaluatorAgainstSweep:
         evaluator = SelectionEvaluator(index, profiles, probability)
         for photo in committed:
             evaluator.add(photo)
-        before = expected_coverage(
+        before = expected_coverage_enumerated(
             index, profiles + [build_node_profile(index, 99, committed, probability)]
         )
         for photo in pool:
-            after = expected_coverage(
+            after = expected_coverage_enumerated(
                 index,
                 profiles + [build_node_profile(index, 99, committed + [photo], probability)],
             )

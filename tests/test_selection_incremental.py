@@ -103,14 +103,6 @@ def test_celf_with_poi_scoped_staleness_equals_the_reference(seed):
     assert len(lazy.photos) > 1
 
 
-def test_celf_equals_the_reference_without_the_positive_gain_stop():
-    rng, index, pool, background = _dense_scenario(11)
-    storage = StorageSpec(1, 30 * MB, 0.6)
-    lazy = greedy_select(index, pool, storage, background, require_positive_gain=False)
-    naive = greedy_select_reference(index, pool, storage, background, require_positive_gain=False)
-    _assert_same_selection(lazy, naive)
-
-
 class _SelectionCounts:
     """A telemetry sink that keeps the counts of each greedy selection."""
 

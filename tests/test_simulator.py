@@ -86,6 +86,18 @@ class TestSimulationSetup:
         unlimited = sim_with(contacts=[], arrivals=[], unlimited_contacts=True)
         assert unlimited.byte_budget(3.0) is None
 
+    def test_uplink_spends_the_bytes_of_a_corrupted_photo(self, monkeypatch):
+        sim = sim_with(contacts=[], arrivals=[], unlimited_contacts=False,
+                       bandwidth_bytes_per_s=2 * MB)
+        photos = [photo_at_aspect(Point(0.0, 0.0), aspect_deg=a) for a in (0.0, 90.0, 180.0)]
+        survives = iter([False, True, True])
+        monkeypatch.setattr(sim, "transfer_survives", lambda photo: next(survives))
+        # A 4 s uplink carries two 4 MB photos: the first is corrupted in
+        # flight, the second arrives, and the third no longer fits.
+        assert sim.uplink(photos, 4.0) == [photos[1]]
+        assert sim.command_center.received_count == 1
+        assert next(survives), "the photo that did not fit drew no transfer fault"
+
     def test_contact_duration_cap_applied(self):
         events = []
 
