@@ -254,9 +254,6 @@ class ArcSet:
         total = sum(hi - lo for lo, hi in self._segments)
         return min(total, TWO_PI)
 
-    def measure_degrees(self) -> float:
-        return math.degrees(self.measure())
-
     def gain_of(self, interval: AngularInterval) -> float:
         """Measure added by unioning *interval*, without mutating the set.
 

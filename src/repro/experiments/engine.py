@@ -61,7 +61,9 @@ __all__ = [
 #: part of every key, so stale cache entries simply never match.
 #: v2: units carry a ``telemetry`` flag and telemetry-enabled entries
 #: store the telemetry snapshot beside the result.
-CACHE_SCHEMA_VERSION = 2
+#: v3: telemetry snapshots carry phase timings as a timer family, not a
+#: ``profile`` block.
+CACHE_SCHEMA_VERSION = 3
 
 #: Where the CLI puts the cache unless told otherwise.
 DEFAULT_CACHE_DIR = Path(

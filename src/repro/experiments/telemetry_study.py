@@ -86,11 +86,14 @@ def telemetry_report(manifest: Dict[str, Any]) -> str:
         f"total unit time {timings.get('total_unit_s', 0.0):.1f}s",
     ]
 
-    profile_rows = [
-        [phase, str(stats["calls"]), f"{stats['total_s']:.3f}s",
-         f"{1000.0 * stats['total_s'] / stats['calls']:.2f}ms" if stats["calls"] else "-"]
-        for phase, stats in sorted(timings.get("profile", {}).items())
-    ]
+    profile_rows: List[List[str]] = []
+    phases = metrics.get("repro_phase_seconds", {}).get("samples", [])
+    for sample in sorted(phases, key=lambda s: s["labels"]["phase"]):
+        timer = sample["value"]
+        per_call = f"{1000.0 * timer['sum'] / timer['count']:.2f}ms" if timer["count"] else "-"
+        profile_rows.append(
+            [sample["labels"]["phase"], str(timer["count"]), f"{timer['sum']:.3f}s", per_call]
+        )
 
     counter_rows: List[List[str]] = []
     for name, family in sorted(metrics.items()):

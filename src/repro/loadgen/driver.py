@@ -161,14 +161,8 @@ class LoadResult:
         out: Dict[str, Dict[str, float]] = {}
         for kind in OP_KINDS:
             series = self.op_latency.labels(op=kind)
-            if series.count == 0:
-                continue
-            out[kind] = {
-                "count": series.count,
-                "p50_s": series.quantile(0.50),
-                "p95_s": series.quantile(0.95),
-                "p99_s": series.quantile(0.99),
-            }
+            if series.count:
+                out[kind] = series.latency_summary()
         return out
 
 

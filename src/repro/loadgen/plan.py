@@ -335,9 +335,6 @@ class LoadPlan:
     def total_duration_s(self) -> float:
         return sum(stage.duration_s for stage in self.stages)
 
-    def max_concurrency(self) -> int:
-        return max(stage.concurrency for stage in self.stages)
-
 
 def _stage_from_dict(entry: Dict[str, Any]) -> LoadStage:
     if not isinstance(entry, dict):

@@ -6,7 +6,7 @@ LoadResult` into a list of human-readable violations against the plan's
 the whole run -- plan echo, per-stage offered/achieved series, per-op
 latency quantiles, exact accounting, SLO verdict, and the server's
 closing ``stats`` snapshot -- as a schema-validated manifest
-(:func:`repro.obs.manifest.validate_load_report`).  ``repro loadgen``
+(:func:`repro.obs.manifest.validate_manifest`).  ``repro loadgen``
 exits nonzero when ``slo.passed`` is false, which is what lets CI gate on
 a load run.
 """
@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..obs.manifest import (
-    LOAD_REPORT_SCHEMA_VERSION,
-    ensure_valid_load_report,
-)
+from ..obs.manifest import LOAD_REPORT_SCHEMA_VERSION, ensure_valid_manifest
 from .driver import LoadResult
 
 __all__ = ["evaluate_slo", "build_load_report", "describe_result"]
@@ -87,7 +84,7 @@ def build_load_report(result: LoadResult) -> Dict[str, Any]:
     }
     if result.server_stats is not None:
         report["server"] = {"stats": result.server_stats}
-    ensure_valid_load_report(report)
+    ensure_valid_manifest(report)
     return report
 
 

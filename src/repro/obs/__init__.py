@@ -1,19 +1,21 @@
-"""Observability: metrics registry, simulation telemetry, and profiling.
+"""Observability: metrics registry, simulation telemetry, and manifests.
 
-Three layers, composable and individually usable:
+Two layers, composable and individually usable:
 
 * :mod:`repro.obs.registry` -- a dependency-free, Prometheus-shaped
   metrics registry (counters, gauges, histograms, timers; labeled
   children; JSON and Prometheus-text export).
 * :mod:`repro.obs.telemetry` -- :class:`~repro.obs.telemetry.SimTelemetry`,
   the hook set the DTN simulator, core algorithms, and metadata cache
-  feed; plus the :class:`~repro.obs.telemetry.SimulationObserver`
-  protocol shared with the structured event log.
-* :mod:`repro.obs.profiler` -- per-phase wall-clock breakdown (selection
-  vs transfer scheduling vs expected-coverage enumeration).
+  feed, including the per-phase wall-clock breakdown (selection vs
+  expected-coverage enumeration vs transfer scheduling) as the
+  ``repro_phase_seconds`` timer family; plus the
+  :class:`~repro.obs.telemetry.SimulationObserver` protocol shared with
+  the structured event log.
 
 :mod:`repro.obs.manifest` aggregates all of it across an experiment
-engine run plan into a validated ``manifest.json``.
+engine run plan into a ``manifest.json``, and validates that and the
+service-session and load-report manifests against one schema per kind.
 
 Enable from the CLI with ``--telemetry`` on any engine-backed command,
 inspect with ``repro metrics <manifest.json>``, or programmatically::
@@ -35,12 +37,11 @@ from .manifest import (
     ManifestError,
     build_manifest,
     build_service_manifest,
+    ensure_valid_manifest,
     load_manifest,
     validate_manifest,
-    validate_service_manifest,
     write_manifest,
 )
-from .profiler import PhaseStats, Profiler, merge_profiles
 from .registry import (
     Counter,
     Gauge,
@@ -59,9 +60,6 @@ __all__ = [
     "Timer",
     "MetricsRegistry",
     "registry_from_snapshot",
-    "Profiler",
-    "PhaseStats",
-    "merge_profiles",
     "SimTelemetry",
     "SimulationObserver",
     "TELEMETRY_SCHEMA_VERSION",
@@ -73,7 +71,7 @@ __all__ = [
     "build_manifest",
     "build_service_manifest",
     "load_manifest",
+    "ensure_valid_manifest",
     "validate_manifest",
-    "validate_service_manifest",
     "write_manifest",
 ]

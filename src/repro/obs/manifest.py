@@ -1,47 +1,51 @@
-"""Run manifests: one JSON document describing an executed run plan.
+"""Manifests: JSON documents describing an engine run, a service session
+or a load run.
 
-A manifest is the engine's flight recorder -- written beside the result
-cache (or wherever ``manifest_path`` points), it captures everything
-needed to audit a sweep after the fact: the content hash of the plan,
-which schemes and seeds ran, per-unit wall-clock timings and cache
-provenance, the aggregated wall-clock profile, a merged metric snapshot,
-and each scheme's coverage-over-time curve.
+An engine-run manifest is the engine's flight recorder -- written beside
+the result cache (or wherever ``manifest_path`` points), it captures
+everything needed to audit a sweep after the fact: the content hash of
+the plan, which schemes and seeds ran, per-unit wall-clock timings and
+cache provenance, a merged metric snapshot (phase timings included), and
+each scheme's coverage-over-time curve.  A manifest with a ``kind`` key
+is a ``service-session`` (:func:`build_service_manifest`) or a
+``load-report`` (:mod:`repro.loadgen.report`).
 
-The schema is deliberately small and validated structurally by
-:func:`validate_manifest` (no external jsonschema dependency); CI runs a
-telemetry smoke job that emits a manifest and validates it on every push.
+Each kind has one declarative schema in :data:`SCHEMAS`, enforced by
+:func:`validate_manifest` (no external jsonschema dependency); CI
+validates a manifest of every kind on every push.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from .profiler import merge_profiles
+from .telemetry import TELEMETRY_SCHEMA_VERSION
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "SERVICE_MANIFEST_SCHEMA_VERSION",
     "LOAD_REPORT_SCHEMA_VERSION",
+    "SCHEMAS",
     "ManifestError",
     "build_manifest",
     "build_service_manifest",
     "merge_metric_snapshots",
     "plan_hash",
     "validate_manifest",
-    "validate_service_manifest",
-    "validate_load_report",
-    "ensure_valid_load_report",
+    "ensure_valid_manifest",
     "write_manifest",
     "load_manifest",
 ]
 
-#: Bumped when the manifest payload shape changes.
-MANIFEST_SCHEMA_VERSION = 1
+#: Bumped when the engine-run manifest shape changes.
+#: v2: ``timings.profile`` is gone; phase timings are the merged
+#: ``repro_phase_seconds`` timer family of ``metrics``.
+MANIFEST_SCHEMA_VERSION = 2
 
 #: Bumped when the service-session manifest shape changes.
 SERVICE_MANIFEST_SCHEMA_VERSION = 1
@@ -165,7 +169,6 @@ def build_manifest(
     """
     units: List[Dict[str, Any]] = []
     telemetry_snapshots: List[Dict[str, Any]] = []
-    profiles: List[Dict[str, Any]] = []
     coverage_by_scheme: Dict[str, List[Dict[str, float]]] = {}
     for outcome in outcomes:
         unit = outcome.unit
@@ -189,7 +192,6 @@ def build_manifest(
         units.append(entry)
         if telemetry:
             telemetry_snapshots.append(telemetry.get("metrics", {}))
-            profiles.append(telemetry.get("profile", {}))
             curve = telemetry.get("coverage_curve") or []
             if curve and unit.scheme not in coverage_by_scheme:
                 coverage_by_scheme[unit.scheme] = curve
@@ -211,7 +213,6 @@ def build_manifest(
             "total_unit_s": sum(u["duration_s"] for u in units),
             "cached_units": sum(1 for u in units if u["cached"]),
             "executed_units": sum(1 for u in units if not u["cached"]),
-            "profile": merge_profiles(profiles),
         },
         "metrics": merge_metric_snapshots(telemetry_snapshots),
         "coverage_over_time": coverage_by_scheme,
@@ -249,316 +250,217 @@ def build_service_manifest(
     return manifest
 
 
-def validate_service_manifest(payload: Dict[str, Any]) -> List[str]:
-    """Structurally validate a service manifest; returns found problems."""
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["service manifest is not a JSON object"]
-    for key in ("schema_version", "kind", "generator", "routing", "variants", "metrics"):
-        if key not in payload:
-            _fail(errors, f"missing required key {key!r}")
-    if errors:
-        return errors
-    if payload["schema_version"] != SERVICE_MANIFEST_SCHEMA_VERSION:
-        _fail(
-            errors,
-            f"schema_version {payload['schema_version']!r}"
-            f" != {SERVICE_MANIFEST_SCHEMA_VERSION}",
-        )
-    if payload["kind"] != "service-session":
-        _fail(errors, f"kind must be 'service-session', got {payload['kind']!r}")
-    if not isinstance(payload["generator"], str):
-        _fail(errors, "generator must be a string")
-    routing = payload["routing"]
-    if not isinstance(routing, dict):
-        _fail(errors, "routing must be an object")
-    else:
-        for key in ("champion", "champion_pct", "challenger_pct", "fallbacks"):
-            if key not in routing:
-                _fail(errors, f"routing missing {key!r}")
-    variants = payload["variants"]
-    if not (isinstance(variants, dict) and variants):
-        _fail(errors, "variants must be a non-empty object")
-    else:
-        for name, summary in variants.items():
-            if not isinstance(summary, dict):
-                _fail(errors, f"variants[{name!r}] is not an object")
-                continue
-            for key in ("scheme", "requests", "coverage", "latency"):
-                if key not in summary:
-                    _fail(errors, f"variants[{name!r}] missing {key!r}")
-            persistence = summary.get("persistence")
-            if persistence is not None:
-                if not isinstance(persistence, dict):
-                    _fail(errors, f"variants[{name!r}].persistence must be an object")
-                    continue
-                for key in ("wal_dir", "fsync", "snapshot_seq", "recovery"):
-                    if key not in persistence:
-                        _fail(errors, f"variants[{name!r}].persistence missing {key!r}")
-                recovery = persistence.get("recovery")
-                if recovery is not None and isinstance(recovery, dict):
-                    for key in (
-                        "snapshot_seq", "replayed_records",
-                        "truncated_bytes", "duration_s",
-                    ):
-                        if key not in recovery:
-                            _fail(
-                                errors,
-                                f"variants[{name!r}].persistence.recovery"
-                                f" missing {key!r}",
-                            )
-                elif recovery is not None:
-                    _fail(
-                        errors,
-                        f"variants[{name!r}].persistence.recovery must be an object",
-                    )
-    if not isinstance(payload["metrics"], dict):
-        _fail(errors, "metrics must be an object")
-    return errors
-
-
-def ensure_valid_service_manifest(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate *payload*, raising :class:`ManifestError` on problems."""
-    errors = validate_service_manifest(payload)
-    if errors:
-        raise ManifestError("; ".join(errors))
-    return payload
-
-
-def validate_load_report(payload: Dict[str, Any]) -> List[str]:
-    """Structurally validate a load-generator report; returns problems.
-
-    The report is ``repro.loadgen``'s manifest kind: plan echo, per-stage
-    offered/achieved rates, per-op latency quantiles, exact accounting,
-    and the SLO verdict CI gates on.
-    """
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["load report is not a JSON object"]
-    required = (
-        "schema_version", "kind", "generated_by", "plan", "target",
-        "wall_duration_s", "stages", "ops", "accounting", "slo",
-    )
-    for key in required:
-        if key not in payload:
-            _fail(errors, f"missing required key {key!r}")
-    if errors:
-        return errors
-    if payload["schema_version"] != LOAD_REPORT_SCHEMA_VERSION:
-        _fail(
-            errors,
-            f"schema_version {payload['schema_version']!r}"
-            f" != {LOAD_REPORT_SCHEMA_VERSION}",
-        )
-    if payload["kind"] != "load-report":
-        _fail(errors, f"kind must be 'load-report', got {payload['kind']!r}")
-    if not isinstance(payload["generated_by"], str):
-        _fail(errors, "generated_by must be a string")
-    plan = payload["plan"]
-    if not isinstance(plan, dict) or "stages" not in plan:
-        _fail(errors, "plan must be an object carrying its stages")
-    target = payload["target"]
-    if not (isinstance(target, dict) and "host" in target and "port" in target):
-        _fail(errors, "target must carry host and port")
-    duration = payload["wall_duration_s"]
-    if (
-        not isinstance(duration, (int, float))
-        or isinstance(duration, bool)
-        or duration < 0
-        or math.isnan(float(duration))
-    ):
-        _fail(errors, "wall_duration_s must be a non-negative number")
-
-    stages = payload["stages"]
-    if not isinstance(stages, list):
-        _fail(errors, "stages must be a list")
-        stages = []
-    for i, stage in enumerate(stages):
-        if not isinstance(stage, dict):
-            _fail(errors, f"stages[{i}] is not an object")
-            continue
-        for key in (
-            "name", "process", "gate_rate", "offered", "ok",
-            "offered_rate", "achieved_rate", "attainment", "samples",
-        ):
-            if key not in stage:
-                _fail(errors, f"stages[{i}] missing {key!r}")
-        if not isinstance(stage.get("samples", []), list):
-            _fail(errors, f"stages[{i}].samples must be a list")
-
-    ops = payload["ops"]
-    if not isinstance(ops, dict):
-        _fail(errors, "ops must be an object")
-    else:
-        for kind, quantiles in ops.items():
-            if not isinstance(quantiles, dict):
-                _fail(errors, f"ops[{kind!r}] is not an object")
-                continue
-            for key in ("count", "p50_s", "p95_s", "p99_s"):
-                if key not in quantiles:
-                    _fail(errors, f"ops[{kind!r}] missing {key!r}")
-
-    accounting = payload["accounting"]
-    if not isinstance(accounting, dict):
-        _fail(errors, "accounting must be an object")
-    else:
-        categories = (
-            "sent", "ok", "service_error", "timeout", "connection_error", "killed",
-        )
-        for key in categories + ("reconnects", "errors_by_code"):
-            if key not in accounting:
-                _fail(errors, f"accounting missing {key!r}")
-        if all(isinstance(accounting.get(key), int) for key in categories):
-            failed = sum(accounting[key] for key in categories[2:])
-            if accounting["sent"] != accounting["ok"] + failed:
-                _fail(
-                    errors,
-                    "accounting identity violated: sent != ok + "
-                    "service_error + timeout + connection_error + killed",
-                )
-
-    slo = payload["slo"]
-    if not isinstance(slo, dict):
-        _fail(errors, "slo must be an object")
-    else:
-        for key in ("thresholds", "violations", "passed"):
-            if key not in slo:
-                _fail(errors, f"slo missing {key!r}")
-        if not isinstance(slo.get("passed", False), bool):
-            _fail(errors, "slo.passed must be a boolean")
-        if not isinstance(slo.get("violations", []), list):
-            _fail(errors, "slo.violations must be a list")
-        elif "passed" in slo and slo["passed"] != (not slo["violations"]):
-            _fail(errors, "slo.passed must match slo.violations being empty")
-    return errors
-
-
-def ensure_valid_load_report(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate *payload*, raising :class:`ManifestError` on problems."""
-    errors = validate_load_report(payload)
-    if errors:
-        raise ManifestError("; ".join(errors))
-    return payload
-
-
 # ----------------------------------------------------------------------
 # Validation (structural; no external schema library)
 # ----------------------------------------------------------------------
 
-#: The manifest schema, JSON-Schema-shaped, for documentation and
-#: external validators.  :func:`validate_manifest` enforces the same
-#: constraints natively.
-MANIFEST_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": [
-        "schema_version", "generator", "plan_hash", "schemes", "seeds",
-        "units", "timings", "metrics", "coverage_over_time",
-    ],
-    "properties": {
-        "schema_version": {"type": "integer", "const": MANIFEST_SCHEMA_VERSION},
-        "generator": {"type": "string"},
-        "plan_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "schemes": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "units": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
+_DURATION = {"type": "number", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 0}
+_STRING = {"type": "string"}
+
+#: A latency summary, as
+#: :meth:`~repro.obs.registry.Histogram.latency_summary` returns it.
+_LATENCY = {"type": "object", "required": ["count", "p50_s", "p95_s", "p99_s"]}
+
+#: The load report's op counts: ``sent``, then the outcomes that add up to it.
+_OUTCOMES = ("sent", "ok", "service_error", "timeout", "connection_error", "killed")
+
+#: One schema per manifest kind, in a small JSON-Schema subset: ``type``
+#: (a name or a list of names), ``const``, ``pattern`` (which must match
+#: the whole string), ``minimum``, ``minItems``, ``minProperties``,
+#: ``required``, ``properties``, ``items``, and ``values`` -- the schema
+#: of every value of an object keyed by name.  The ``kind`` key picks the
+#: schema, so no schema lists it; a manifest without one is an engine run.
+SCHEMAS: Dict[str, Dict[str, Any]] = {
+    "engine-run": {
+        "type": "object",
+        "required": ["schema_version", "generator", "plan_hash", "schemes", "seeds",
+                     "units", "timings", "metrics", "coverage_over_time"],
+        "properties": {
+            "schema_version": {"const": MANIFEST_SCHEMA_VERSION},
+            "generator": _STRING,
+            "plan_hash": {"type": "string", "pattern": "[0-9a-f]{64}"},
+            "schemes": {"type": "array", "minItems": 1, "items": _STRING},
+            "seeds": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
+            "units": {"type": "array", "minItems": 1, "items": {
                 "type": "object",
                 "required": ["scheme", "seed", "key", "duration_s", "cached", "result"],
+                "properties": {
+                    "duration_s": _DURATION,
+                    "cached": {"type": "boolean"},
+                    "telemetry": {
+                        "type": ["object", "null"],
+                        "required": ["schema_version", "metrics",
+                                     "coverage_curve", "buffer_occupancy"],
+                        "properties": {"schema_version": {"const": TELEMETRY_SCHEMA_VERSION}},
+                    },
+                },
+            }},
+            "timings": {
+                "type": "object",
+                "required": ["total_unit_s", "cached_units", "executed_units"],
+                "properties": {"total_unit_s": _DURATION, "cached_units": _COUNT,
+                               "executed_units": _COUNT},
+            },
+            "metrics": {"type": "object",
+                        "values": {"type": "object", "required": ["kind", "samples"]}},
+            "coverage_over_time": {"type": "object"},
+        },
+    },
+    "service-session": {
+        "type": "object",
+        "required": ["schema_version", "generator", "routing", "variants", "metrics"],
+        "properties": {
+            "schema_version": {"const": SERVICE_MANIFEST_SCHEMA_VERSION},
+            "generator": _STRING,
+            "routing": {"type": "object", "required": ["champion", "champion_pct",
+                                                       "challenger_pct", "fallbacks"]},
+            "variants": {"type": "object", "minProperties": 1, "values": {
+                "type": "object",
+                "required": ["scheme", "requests", "coverage", "latency"],
+                "properties": {
+                    "latency": _LATENCY,
+                    "persistence": {
+                        "type": ["object", "null"],
+                        "required": ["wal_dir", "fsync", "snapshot_seq", "recovery"],
+                        "properties": {"recovery": {
+                            "type": ["object", "null"],
+                            "required": ["snapshot_seq", "replayed_records",
+                                         "truncated_bytes", "duration_s"],
+                            "properties": {"duration_s": _DURATION},
+                        }},
+                    },
+                },
+            }},
+            "metrics": {"type": "object"},
+        },
+    },
+    "load-report": {
+        "type": "object",
+        "required": ["schema_version", "generated_by", "plan", "target", "wall_duration_s",
+                     "stages", "ops", "accounting", "slo"],
+        "properties": {
+            "schema_version": {"const": LOAD_REPORT_SCHEMA_VERSION},
+            "generated_by": _STRING,
+            "plan": {"type": "object", "required": ["stages"]},
+            "target": {"type": "object", "required": ["host", "port"]},
+            "wall_duration_s": _DURATION,
+            "stages": {"type": "array", "items": {
+                "type": "object",
+                "required": ["name", "process", "gate_rate", "offered", "ok",
+                             "offered_rate", "achieved_rate", "attainment", "samples"],
+                "properties": {"samples": {"type": "array"}},
+            }},
+            "ops": {"type": "object", "values": _LATENCY},
+            "accounting": {
+                "type": "object",
+                "required": list(_OUTCOMES) + ["reconnects", "errors_by_code"],
+                "properties": {key: _COUNT for key in _OUTCOMES},
+            },
+            "slo": {
+                "type": "object",
+                "required": ["thresholds", "violations", "passed"],
+                "properties": {"violations": {"type": "array"}, "passed": {"type": "boolean"}},
             },
         },
-        "timings": {
-            "type": "object",
-            "required": ["total_unit_s", "cached_units", "executed_units", "profile"],
-        },
-        "metrics": {"type": "object"},
-        "coverage_over_time": {"type": "object"},
     },
 }
 
+_TYPE_CHECKS: Dict[str, Callable[[Any], bool]] = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "null": lambda v: v is None,
+}
 
-def _fail(errors: List[str], message: str) -> None:
-    errors.append(message)
+
+def _check(value: Any, schema: Dict[str, Any], path: str, errors: List[str]) -> None:
+    """Append to *errors* every way *value* (at JSON *path*) breaks *schema*."""
+    where = path or "manifest"
+    if "const" in schema:
+        const = schema["const"]
+        if type(value) is not type(const) or value != const:
+            errors.append(f"{where} {value!r} != {const!r}")
+        return
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        if not any(_TYPE_CHECKS[name](value) for name in types):
+            errors.append(f"{where} must be {' or '.join(types)}, got {type(value).__name__}")
+            return
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                errors.append(f"{where} missing {key!r}")
+        if len(value) < schema.get("minProperties", 0):
+            errors.append(f"{where} must have at least {schema['minProperties']} entries")
+        prefix = f"{path}." if path else ""
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, prefix + key, errors)
+        if "values" in schema:
+            for key, item in value.items():
+                _check(item, schema["values"], f"{where}[{key!r}]", errors)
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append(f"{where} must have at least {schema['minItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{where}[{i}]", errors)
+    elif isinstance(value, str):
+        if "pattern" in schema and not re.fullmatch(schema["pattern"], value):
+            errors.append(f"{where} must match {schema['pattern']}")
+    elif "minimum" in schema and _TYPE_CHECKS["number"](value):
+        if not value >= schema["minimum"]:  # NaN compares false, so it fails too
+            errors.append(f"{where} must be >= {schema['minimum']}, got {value!r}")
 
 
-def validate_manifest(payload: Dict[str, Any]) -> List[str]:
-    """Structurally validate a manifest; returns a list of problems.
-
-    An empty list means the manifest is valid.  Raise-style callers can
-    use :func:`ensure_valid_manifest`.
-    """
+def _load_report_rules(payload: Dict[str, Any]) -> List[str]:
+    """The load report's cross-field rules, which a schema cannot state."""
     errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["manifest is not a JSON object"]
-    for key in MANIFEST_SCHEMA["required"]:
-        if key not in payload:
-            _fail(errors, f"missing required key {key!r}")
-    if errors:
-        return errors
-
-    if payload["schema_version"] != MANIFEST_SCHEMA_VERSION:
-        _fail(errors, f"schema_version {payload['schema_version']!r} != {MANIFEST_SCHEMA_VERSION}")
-    if not isinstance(payload["generator"], str):
-        _fail(errors, "generator must be a string")
-    ph = payload["plan_hash"]
-    if not (isinstance(ph, str) and len(ph) == 64 and all(c in "0123456789abcdef" for c in ph)):
-        _fail(errors, "plan_hash must be a 64-char lowercase hex sha256")
-    if not (isinstance(payload["schemes"], list) and payload["schemes"]
-            and all(isinstance(s, str) for s in payload["schemes"])):
-        _fail(errors, "schemes must be a non-empty list of strings")
-    if not (isinstance(payload["seeds"], list) and payload["seeds"]
-            and all(isinstance(s, int) for s in payload["seeds"])):
-        _fail(errors, "seeds must be a non-empty list of integers")
-
-    units = payload["units"]
-    if not (isinstance(units, list) and units):
-        _fail(errors, "units must be a non-empty list")
-        units = []
-    for i, unit in enumerate(units):
-        if not isinstance(unit, dict):
-            _fail(errors, f"units[{i}] is not an object")
-            continue
-        for key in ("scheme", "seed", "key", "duration_s", "cached", "result"):
-            if key not in unit:
-                _fail(errors, f"units[{i}] missing {key!r}")
-        if "duration_s" in unit and (
-            not isinstance(unit["duration_s"], (int, float))
-            or isinstance(unit["duration_s"], bool)
-            or unit["duration_s"] < 0
-            or math.isnan(float(unit["duration_s"]))
-        ):
-            _fail(errors, f"units[{i}].duration_s must be a non-negative number")
-        if "cached" in unit and not isinstance(unit["cached"], bool):
-            _fail(errors, f"units[{i}].cached must be a boolean")
-        telemetry = unit.get("telemetry")
-        if telemetry is not None:
-            if not isinstance(telemetry, dict):
-                _fail(errors, f"units[{i}].telemetry must be an object or null")
-            else:
-                for key in ("metrics", "profile", "coverage_curve", "buffer_occupancy"):
-                    if key not in telemetry:
-                        _fail(errors, f"units[{i}].telemetry missing {key!r}")
-
-    timings = payload["timings"]
-    if not isinstance(timings, dict):
-        _fail(errors, "timings must be an object")
-    else:
-        for key in ("total_unit_s", "cached_units", "executed_units", "profile"):
-            if key not in timings:
-                _fail(errors, f"timings missing {key!r}")
-    if not isinstance(payload["metrics"], dict):
-        _fail(errors, "metrics must be an object")
-    else:
-        for name, family in payload["metrics"].items():
-            if not isinstance(family, dict) or "kind" not in family or "samples" not in family:
-                _fail(errors, f"metrics[{name!r}] must carry kind and samples")
-    if not isinstance(payload["coverage_over_time"], dict):
-        _fail(errors, "coverage_over_time must be an object")
+    accounting = payload.get("accounting")
+    if isinstance(accounting, dict) and all(
+        _TYPE_CHECKS["integer"](accounting.get(key)) for key in _OUTCOMES
+    ):
+        if accounting["sent"] != sum(accounting[key] for key in _OUTCOMES[1:]):
+            errors.append(
+                "accounting identity violated: sent != ok + "
+                "service_error + timeout + connection_error + killed"
+            )
+    slo = payload.get("slo")
+    if (
+        isinstance(slo, dict)
+        and isinstance(slo.get("passed"), bool)
+        and isinstance(slo.get("violations"), list)
+        and slo["passed"] != (not slo["violations"])
+    ):
+        errors.append("slo.passed must match slo.violations being empty")
     return errors
 
 
-def ensure_valid_manifest(payload: Dict[str, Any]) -> Dict[str, Any]:
+def validate_manifest(payload: Any) -> List[str]:
+    """Validate a manifest of any kind; returns a list of problems.
+
+    Dispatches on ``kind``: none means an engine run, and a kind with no
+    entry in :data:`SCHEMAS` is itself a problem.  An empty list means the
+    manifest is valid; raise-style callers use :func:`ensure_valid_manifest`.
+    """
+    if not isinstance(payload, dict):
+        return ["manifest is not a JSON object"]
+    kind = payload.get("kind", "engine-run")
+    if not isinstance(kind, str) or kind not in SCHEMAS:
+        return [f"unknown manifest kind {kind!r}; known: {', '.join(sorted(SCHEMAS))}"]
+    errors: List[str] = []
+    _check(payload, SCHEMAS[kind], "", errors)
+    if kind == "load-report":
+        errors.extend(_load_report_rules(payload))
+    return errors
+
+
+def ensure_valid_manifest(payload: Any) -> Dict[str, Any]:
     """Validate *payload*, raising :class:`ManifestError` on problems."""
     errors = validate_manifest(payload)
     if errors:
@@ -582,15 +484,5 @@ def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> Path:
 
 
 def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read and structurally validate a manifest from disk.
-
-    Dispatches on the ``kind`` key: service-session and load-report
-    manifests are checked against their own schemas, everything else
-    against the engine-run schema.
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(payload, dict) and payload.get("kind") == "service-session":
-        return ensure_valid_service_manifest(payload)
-    if isinstance(payload, dict) and payload.get("kind") == "load-report":
-        return ensure_valid_load_report(payload)
-    return ensure_valid_manifest(payload)
+    """Read a manifest of any kind from disk and validate it."""
+    return ensure_valid_manifest(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -245,6 +245,19 @@ class Histogram(Metric):
             lower = bound
         return self.buckets[-1] if self.buckets else float("nan")
 
+    def latency_summary(self) -> Dict[str, float]:
+        """``{count, p50_s, p95_s, p99_s}`` of a series observed in seconds.
+
+        The one latency shape the service stats, the service manifest and
+        the load report all carry.
+        """
+        return {
+            "count": self.count,
+            "p50_s": self.quantile(0.50),
+            "p95_s": self.quantile(0.95),
+            "p99_s": self.quantile(0.99),
+        }
+
     def _touched(self) -> bool:
         return self.count > 0
 

@@ -1,11 +1,11 @@
 """Simulation telemetry: the hook set wired through the DTN substrate.
 
-:class:`SimTelemetry` bundles a :class:`~repro.obs.registry.MetricsRegistry`
-and a :class:`~repro.obs.profiler.Profiler` and exposes one narrow method
-per instrumented event.  The simulator, the routing base, the selection
-and transfer algorithms, and the metadata cache call these hooks -- either
-directly (the simulator holds a reference) or via
-:func:`repro.obs.runtime.active_telemetry` (the pure core functions).
+:class:`SimTelemetry` owns a :class:`~repro.obs.registry.MetricsRegistry`
+and exposes one narrow method per instrumented event.  The simulator, the
+routing base, the selection and transfer algorithms, and the metadata
+cache call these hooks -- either directly (the simulator holds a
+reference) or via :func:`repro.obs.runtime.active_telemetry` (the pure
+core functions).
 
 What it records, mapped to the paper:
 
@@ -18,7 +18,11 @@ What it records, mapped to the paper:
 * per-node buffer occupancy over time (storage pressure),
 * the command center's coverage sampled at every gateway uplink,
 * fault activations (:class:`~repro.dtn.faults.FaultCounters`) folded
-  into the registry at the end of a run.
+  into the registry at the end of a run,
+* the wall-clock split between the scheme's three phases -- greedy
+  selection, expected-coverage enumeration and transfer scheduling
+  (Section III-D) -- as the timer family
+  ``repro_phase_seconds{phase=selection|expected_coverage|transfer}``.
 
 Telemetry has one off switch: pass no telemetry (``telemetry=None``).
 Every hook site then costs one global read and a ``None`` check (see
@@ -44,7 +48,6 @@ except ImportError:  # pragma: no cover - ancient interpreters only
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
 
-from .profiler import Profiler
 from .registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SimulationObserver", "SimTelemetry", "TELEMETRY_SCHEMA_VERSION"]
 
 #: Version of the :meth:`SimTelemetry.snapshot` payload shape.
-TELEMETRY_SCHEMA_VERSION = 1
+#: v2: the ``profile`` block is gone; phase timings live in the
+#: ``repro_phase_seconds`` timer family of ``metrics``.
+TELEMETRY_SCHEMA_VERSION = 2
 
 
 @runtime_checkable
@@ -68,14 +73,13 @@ class SimulationObserver(Protocol):
 class SimTelemetry:
     """The instrumentation sink one simulation run feeds.
 
-    Each instance owns a fresh :class:`~repro.obs.registry.MetricsRegistry`
-    and :class:`~repro.obs.profiler.Profiler`.  To run without telemetry,
-    pass none (``telemetry=None``) rather than building one.
+    Each instance owns a fresh :class:`~repro.obs.registry.MetricsRegistry`.
+    To run without telemetry, pass none (``telemetry=None``) rather than
+    building one.
     """
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.profiler = Profiler()
 
         r = self.registry
         self._contacts = r.counter(
@@ -138,6 +142,10 @@ class SimTelemetry:
             "repro_selection_pool_size",
             "Selection pool sizes per greedy_select call",
             buckets=(1, 2, 5, 10, 20, 50, 100, 200, 500),
+        )
+        self._phases = r.timer(
+            "repro_phase_seconds",
+            "Wall-clock time per phase (selection|expected_coverage|transfer)",
         )
 
         #: ``[{time, mean_fraction, max_fraction, used_bytes, nodes}]`` --
@@ -214,8 +222,8 @@ class SimTelemetry:
         self._selection_selected.inc(selected)
         self._selection_evaluators.inc()
         self._selection_pool.observe(pool_size)
-        self.profiler.add("selection", elapsed_s)
-        self.profiler.add("expected_coverage", enumeration_s)
+        self._phases.labels(phase="selection").observe(elapsed_s)
+        self._phases.labels(phase="expected_coverage").observe(enumeration_s)
 
     def on_transfer_outcome(
         self,
@@ -240,7 +248,7 @@ class SimTelemetry:
         tbytes.labels(fate="truncated").inc(bytes_truncated)
         if truncated:
             self._contacts_truncated.inc()
-        self.profiler.add("transfer", elapsed_s)
+        self._phases.labels(phase="transfer").observe(elapsed_s)
 
     def on_cache_event(self, event: str, count: int = 1) -> None:
         if count:
@@ -292,7 +300,6 @@ class SimTelemetry:
             "schema_version": TELEMETRY_SCHEMA_VERSION,
             "scheme": self.scheme,
             "metrics": self.registry.snapshot(),
-            "profile": self.profiler.snapshot(),
             "buffer_occupancy": list(self.buffer_occupancy),
             "coverage_curve": list(self.coverage_curve),
         }

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.metadata import Photo
 from .base import RoutingScheme
@@ -90,19 +90,29 @@ class PhotoNetScheme(RoutingScheme):
         used = self._send_diverse(node_a, node_b, budget, 0)
         self._send_diverse(node_b, node_a, budget, used)
 
+    def _farthest_first(self, candidates: List[Photo], target_storage) -> Iterator[Photo]:
+        """Yield *candidates* farthest from *target_storage*'s photos first.
+
+        Each ``next()`` re-picks against the target's current photos, so a
+        photo the target accepted since the last pick counts; ties go to
+        the older (lower-id) photo.
+        """
+        while candidates:
+            target_photos = target_storage.photos()
+            best = max(
+                candidates,
+                key=lambda p: (self._min_distance_to(p, target_photos), -p.photo_id),
+            )
+            candidates.remove(best)
+            yield best
+
     def _send_diverse(self, sender: DTNNode, receiver: DTNNode, budget, used: int) -> int:
         candidates = [
             photo for photo in sender.storage.photos() if photo.photo_id not in receiver.storage
         ]
-        while candidates:
-            receiver_photos = receiver.storage.photos()
-            best = max(
-                candidates,
-                key=lambda p: (self._min_distance_to(p, receiver_photos), -p.photo_id),
-            )
+        for best in self._farthest_first(candidates, receiver.storage):
             if budget is not None and used + best.size_bytes > budget:
                 break
-            candidates.remove(best)
             if not self.sim.transfer_survives(best):
                 used += best.size_bytes
                 continue  # corrupted in flight: bytes spent, photo lost
@@ -146,21 +156,7 @@ class PhotoNetScheme(RoutingScheme):
     def on_command_center_contact(
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
-        budget = self.sim.byte_budget(duration)
-        used = 0
         candidates = [
             photo for photo in node.storage.photos() if photo.photo_id not in center.storage
         ]
-        while candidates:
-            delivered = center.storage.photos()
-            best = max(
-                candidates,
-                key=lambda p: (self._min_distance_to(p, delivered), -p.photo_id),
-            )
-            if budget is not None and used + best.size_bytes > budget:
-                break
-            candidates.remove(best)
-            used += best.size_bytes
-            if not self.sim.transfer_survives(best):
-                continue
-            self.sim.deliver(best)
+        self.sim.uplink(self._farthest_first(candidates, center.storage), duration)

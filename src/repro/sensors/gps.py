@@ -45,7 +45,3 @@ class GpsSimulator:
             return true_position
         dx, dy = self._rng.normal(0.0, self._sigma, 2)
         return Point(true_position.x + dx, true_position.y + dy)
-
-    def expected_median_error(self) -> float:
-        """The configured CEP (for assertions and documentation)."""
-        return self.cep_m

@@ -37,7 +37,7 @@ from .. import __version__
 from ..core.poi import PoIList
 from ..dtn.simulator import SimulationConfig
 from ..obs.manifest import build_service_manifest, write_manifest
-from ..obs.registry import Histogram, MetricsRegistry
+from ..obs.registry import MetricsRegistry
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -128,14 +128,7 @@ class ServiceMetrics:
         self.request_seconds.labels(variant=variant).observe(seconds)
 
     def latency_quantiles(self, variant: str) -> Dict[str, float]:
-        series = self.request_seconds.labels(variant=variant)
-        assert isinstance(series, Histogram)
-        return {
-            "count": series.count,
-            "p50_s": series.quantile(0.5),
-            "p95_s": series.quantile(0.95),
-            "p99_s": series.quantile(0.99),
-        }
+        return self.request_seconds.labels(variant=variant).latency_summary()
 
 
 class CommandCenterServer:

@@ -34,7 +34,7 @@ from repro.loadgen import (
     run_load,
 )
 from repro.loadgen.report import build_load_report, describe_result, evaluate_slo
-from repro.obs.manifest import ManifestError, load_manifest, validate_load_report
+from repro.obs.manifest import ManifestError, load_manifest, validate_manifest
 from repro.service.client import ServiceClient
 from repro.service.server import CommandCenterServer
 
@@ -134,7 +134,7 @@ class TestDriverEndToEnd:
         with running_server(pois=pois) as server:
             result = run_load(plan, *server.address)
         report = build_load_report(result)
-        assert validate_load_report(report) == []
+        assert validate_manifest(report) == []
         assert report["slo"]["passed"]
         path = tmp_path / "load_report.json"
         write_manifest(path, report)
@@ -158,14 +158,14 @@ class TestDriverEndToEnd:
         plan = quick_plan()
         with running_server(pois=pois) as server:
             result = run_load(plan, *server.address)
-        from repro.obs.manifest import ensure_valid_load_report
+        from repro.obs.manifest import ensure_valid_manifest
 
         report = build_load_report(result)
         report["accounting"]["ok"] += 1
-        errors = validate_load_report(report)
+        errors = validate_manifest(report)
         assert any("accounting identity" in e for e in errors)
         with pytest.raises(ManifestError):
-            ensure_valid_load_report(report)
+            ensure_valid_manifest(report)
 
 
 class TestChaosSoak:
@@ -207,7 +207,7 @@ class TestChaosSoak:
         # of traffic over a dozen nodes, transitions are certain.
         assert churn_events > 0
         report = build_load_report(result)
-        assert validate_load_report(report) == []
+        assert validate_manifest(report) == []
         assert report["accounting"]["killed"] == acct.killed
 
     def test_server_survives_soak_and_keeps_serving(self, pois):

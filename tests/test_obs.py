@@ -29,14 +29,12 @@ from repro.experiments.runner import PAPER_SCHEMES, run_spec
 from repro.experiments.telemetry_study import run_telemetry_study, telemetry_report
 from repro.obs import (
     MetricsRegistry,
-    Profiler,
     SimTelemetry,
     SimulationObserver,
     activated,
     active_telemetry,
     build_manifest,
     load_manifest,
-    merge_profiles,
     registry_from_snapshot,
     validate_manifest,
     write_manifest,
@@ -141,6 +139,13 @@ class TestRegistry:
         assert t.sum >= 0.0
         assert "# TYPE work summary" in r.to_prometheus()
 
+        r.timer("xfer").labels(phase="transfer").observe(0.5)
+        (sample,) = r.snapshot()["xfer"]["samples"]
+        assert sample == {
+            "labels": {"phase": "transfer"},
+            "value": {"count": 1, "sum": 0.5, "min": 0.5, "max": 0.5},
+        }
+
     def test_golden_prometheus_exposition(self):
         assert reference_registry().to_prometheus() == GOLDEN.read_text(encoding="utf-8")
 
@@ -223,40 +228,6 @@ class TestHistogramQuantiles:
 
 
 # ----------------------------------------------------------------------
-# Profiler
-# ----------------------------------------------------------------------
-
-
-class TestProfiler:
-    def test_phase_and_decorator_accumulate(self):
-        p = Profiler()
-        with p.phase("select"):
-            pass
-
-        @p.profile("select")
-        def f():
-            return 7
-
-        assert f() == 7
-        p.add("transfer", 0.5)
-        snap = p.snapshot()
-        assert snap["select"]["calls"] == 2
-        assert snap["transfer"] == {
-            "calls": 1, "total_s": 0.5, "min_s": 0.5, "max_s": 0.5,
-        }
-
-    def test_merge_profiles(self):
-        a = {"sel": {"calls": 2, "total_s": 1.0, "min_s": 0.4, "max_s": 0.6}}
-        b = {"sel": {"calls": 1, "total_s": 0.2, "min_s": 0.2, "max_s": 0.2},
-             "xfer": {"calls": 1, "total_s": 0.1, "min_s": 0.1, "max_s": 0.1}}
-        merged = merge_profiles([a, b])
-        assert merged["sel"] == {
-            "calls": 3, "total_s": 1.2, "min_s": 0.2, "max_s": 0.6,
-        }
-        assert merged["xfer"]["calls"] == 1
-
-
-# ----------------------------------------------------------------------
 # Runtime activation
 # ----------------------------------------------------------------------
 
@@ -306,8 +277,21 @@ class TestTelemetry:
         assert total("repro_selection_iterations_total") > 0
         assert snap["coverage_curve"], "uplinks must produce coverage points"
         assert snap["buffer_occupancy"], "SAMPLE events must produce occupancy points"
-        assert set(snap["profile"]) == {"selection", "expected_coverage", "transfer"}
+        phases = {
+            s["labels"]["phase"]: s["value"]
+            for s in snap["metrics"]["repro_phase_seconds"]["samples"]
+        }
+        assert set(phases) == {"selection", "expected_coverage", "transfer"}
+        for phase, value in phases.items():
+            assert value["count"] > 0, phase
+        assert "profile" not in snap
         assert snap["scheme"] == "our-scheme"
+
+    def test_phase_series_appear_only_for_phases_that_ran(self):
+        tel = SimTelemetry()
+        run_spec(small_spec(), "spray-and-wait", telemetry=tel)
+        phases = tel.snapshot()["metrics"]["repro_phase_seconds"]["samples"]
+        assert phases == []
 
     @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
     def test_encounter_counter_counts_node_pair_contacts(self, scheme):
@@ -402,7 +386,11 @@ class TestEngineTelemetry:
         assert total("repro_transfer_bytes_total") > 0
         assert total("repro_metadata_cache_events_total") > 0
         assert manifest["coverage_over_time"]["our-scheme"]
-        assert manifest["timings"]["profile"]["selection"]["calls"] > 0
+        (selection,) = [
+            s for s in manifest["metrics"]["repro_phase_seconds"]["samples"]
+            if s["labels"] == {"phase": "selection"}
+        ]
+        assert selection["value"]["count"] > 0
 
     def test_cached_units_keep_their_telemetry(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -450,6 +438,26 @@ class TestManifest:
         merged = merge_metric_snapshots([snap(2, 10), snap(3, 20)])
         assert merged["hits"]["samples"][0]["value"] == 5
         assert merged["depth"]["samples"][0]["value"] == 15
+
+    def test_merge_metric_snapshots_adds_timers_and_combines_extremes(self):
+        def timer(count, total, low, high):
+            return {"count": count, "sum": total, "min": low, "max": high}
+
+        def snap(*samples):
+            return {"repro_phase_seconds": {"kind": "timer", "help": "", "samples": [
+                {"labels": {"phase": phase}, "value": value} for phase, value in samples
+            ]}}
+
+        merged = merge_metric_snapshots([
+            snap(("sel", timer(2, 1.0, 0.4, 0.6))),
+            snap(("sel", timer(1, 0.2, 0.2, 0.2)), ("xfer", timer(1, 0.1, 0.1, 0.1))),
+        ])
+        by_phase = {
+            s["labels"]["phase"]: s["value"]
+            for s in merged["repro_phase_seconds"]["samples"]
+        }
+        assert by_phase["sel"] == timer(3, 1.2, 0.2, 0.6)
+        assert by_phase["xfer"]["count"] == 1
 
     def test_validate_rejects_structural_damage(self, tmp_path):
         engine = ExperimentEngine(telemetry=True)

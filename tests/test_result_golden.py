@@ -29,7 +29,13 @@ from helpers import DISRUPTION_PLAN, build_scenario, result_digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "results_seed0.json"
 
-PLANS = {"zero": FaultPlan(), "disrupted": DISRUPTION_PLAN}
+PLANS = {
+    "zero": FaultPlan(),
+    "disrupted": DISRUPTION_PLAN,
+    # Transfer drops and truncations: pins that a corrupted photo still
+    # spends its bytes on every scheme's transfer path.
+    "lossy": FaultPlan(seed=7, transfer_drop_probability=0.3, truncation_probability=0.5),
+}
 
 
 @pytest.mark.parametrize("plan_name", sorted(PLANS))

@@ -16,7 +16,7 @@ from repro.core.poi import PoIList
 from repro.dtn.events import EventKind
 from repro.dtn.simulator import Simulation
 from repro.experiments.config import ScenarioSpec
-from repro.obs.manifest import validate_service_manifest
+from repro.obs.manifest import validate_manifest
 from repro.routing import create_scheme
 from repro.service import (
     PersistenceConfig,
@@ -493,7 +493,7 @@ class TestServerPersistenceIntegration:
         assert "repro_service_recovery_seconds" in text
 
         manifest = server.last_manifest
-        assert validate_service_manifest(manifest) == []
+        assert validate_manifest(manifest) == []
         block = manifest["variants"]["champion"]["persistence"]
         assert block["fsync"] == "off"
         assert block["wal_records"] == 1
@@ -507,7 +507,7 @@ class TestServerPersistenceIntegration:
             pass
         manifest = server.last_manifest
         del manifest["variants"]["champion"]["persistence"]["recovery"]
-        errors = validate_service_manifest(manifest)
+        errors = validate_manifest(manifest)
         assert any("persistence missing 'recovery'" in error for error in errors)
 
     def test_challenger_journals_independently(self, tmp_path, pois):

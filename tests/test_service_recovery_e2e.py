@@ -20,7 +20,7 @@ import pytest
 from repro.dtn.simulator import Simulation
 from repro.experiments.config import ScenarioSpec
 from repro.loadgen import ManagedServer, builtin_plan, run_load_with_restarts
-from repro.obs.manifest import ensure_valid_service_manifest
+from repro.obs.manifest import ensure_valid_manifest
 from repro.routing import create_scheme
 from repro.service.client import ServiceClient, replay_scenario
 
@@ -94,7 +94,7 @@ class TestKillAndRecover:
 
         # The manifest written on the post-recovery shutdown records the
         # recovery and passes schema validation.
-        manifest = ensure_valid_service_manifest(
+        manifest = ensure_valid_manifest(
             json.loads(Path(manifest_path).read_text())
         )
         block = manifest["variants"]["champion"]["persistence"]

@@ -14,7 +14,7 @@ from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoIList
 from repro.dtn.simulator import Simulation
 from repro.experiments.config import ScenarioSpec
-from repro.obs.manifest import load_manifest, validate_service_manifest
+from repro.obs.manifest import load_manifest, validate_manifest
 from repro.routing import create_scheme
 from repro.service.client import ServiceClient, ServiceError, http_get, replay_scenario
 from repro.service.router import RoutingConfig
@@ -240,7 +240,7 @@ class TestManifest:
                 client.contact(1, cc_id, now=5.0, duration=600.0)
                 client.shutdown()
         manifest = load_manifest(str(manifest_path))
-        assert validate_service_manifest(manifest) == []
+        assert validate_manifest(manifest) == []
         assert manifest["kind"] == "service-session"
         champion = manifest["variants"]["champion"]
         assert champion["scheme"] == "our-scheme"
