@@ -16,14 +16,9 @@ from repro.experiments.latency_study import latency_report, run_latency_study
 from bench_config import bench_runs, bench_scale, save_report
 
 
-def test_latency_study(benchmark):
+def test_latency_study():
     scale, runs = bench_scale(), bench_runs()
-    summaries = benchmark.pedantic(
-        run_latency_study,
-        kwargs={"scale": scale, "num_runs": runs, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    summaries = run_latency_study(scale=scale, num_runs=runs, seed=0)
     ours = summaries["our-scheme"]
     spray = summaries["spray-and-wait"]
     # Selectivity: far fewer photos delivered for at least equal coverage.
@@ -37,14 +32,9 @@ def test_latency_study(benchmark):
     )
 
 
-def test_dissemination_study(benchmark):
+def test_dissemination_study():
     scale, runs = bench_scale(), bench_runs()
-    outcome = benchmark.pedantic(
-        run_dissemination_study,
-        kwargs={"scale": scale, "num_runs": runs, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    outcome = run_dissemination_study(scale=scale, num_runs=runs, seed=0)
     # Delay can only cost coverage, never create it.
     for name in outcome.with_delay:
         assert outcome.coverage_cost(name) >= -1e-9

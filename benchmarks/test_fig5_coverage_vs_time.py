@@ -18,14 +18,9 @@ from repro.experiments.runner import PAPER_SCHEMES
 from bench_config import bench_runs, bench_scale, save_report
 
 
-def test_fig5_coverage_vs_time(benchmark):
+def test_fig5_coverage_vs_time():
     scale, runs = bench_scale(), bench_runs()
-    results = benchmark.pedantic(
-        fig5.run,
-        kwargs={"scale": scale, "num_runs": runs, "seed": 0, "schemes": PAPER_SCHEMES},
-        rounds=1,
-        iterations=1,
-    )
+    results = fig5.run(scale=scale, num_runs=runs, seed=0, schemes=PAPER_SCHEMES)
 
     best = results["best-possible"]
     ours = results["our-scheme"]

@@ -13,14 +13,9 @@ from repro.experiments import fig6
 from bench_config import bench_runs, bench_scale, save_report
 
 
-def test_fig6_contact_duration(benchmark):
+def test_fig6_contact_duration():
     scale, runs = bench_scale(), bench_runs()
-    results = benchmark.pedantic(
-        fig6.run,
-        kwargs={"scale": scale, "num_runs": runs, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    results = fig6.run(scale=scale, num_runs=runs, seed=0)
 
     ours_600 = results["ours@600s"]
     ours_120 = results["ours@120s"]

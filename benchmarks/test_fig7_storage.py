@@ -22,19 +22,14 @@ BENCH_STORAGE_GB = (0.2, 0.6, 1.0)
 
 
 @pytest.mark.parametrize("trace_name", [TRACE_MIT, TRACE_CAMBRIDGE])
-def test_fig7_storage(benchmark, trace_name):
+def test_fig7_storage(trace_name):
     scale, runs = bench_scale(), bench_runs()
-    sweep = benchmark.pedantic(
-        fig7.run,
-        kwargs={
-            "trace_name": trace_name,
-            "scale": scale,
-            "num_runs": runs,
-            "seed": 0,
-            "storage_values": BENCH_STORAGE_GB,
-        },
-        rounds=1,
-        iterations=1,
+    sweep = fig7.run(
+        trace_name=trace_name,
+        scale=scale,
+        num_runs=runs,
+        seed=0,
+        storage_values=BENCH_STORAGE_GB,
     )
 
     labels = [f"{gb:.1f}GB" for gb in BENCH_STORAGE_GB]

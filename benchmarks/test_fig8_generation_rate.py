@@ -24,19 +24,14 @@ BENCH_RATES = (50.0, 150.0, 250.0)
 
 
 @pytest.mark.parametrize("trace_name", [TRACE_MIT, TRACE_CAMBRIDGE])
-def test_fig8_generation_rate(benchmark, trace_name):
+def test_fig8_generation_rate(trace_name):
     scale, runs = bench_scale(), bench_runs()
-    sweep = benchmark.pedantic(
-        fig8.run,
-        kwargs={
-            "trace_name": trace_name,
-            "scale": scale,
-            "num_runs": runs,
-            "seed": 0,
-            "rates": BENCH_RATES,
-        },
-        rounds=1,
-        iterations=1,
+    sweep = fig8.run(
+        trace_name=trace_name,
+        scale=scale,
+        num_runs=runs,
+        seed=0,
+        rates=BENCH_RATES,
     )
 
     labels = [f"{rate:.0f}/h" for rate in BENCH_RATES]

@@ -20,7 +20,10 @@ Quickstart::
 Subpackages load lazily (PEP 562): ``repro.core`` and everything it
 needs -- selection included, which is pure python -- import without
 numpy, while the numerical subpackages (traces, sensors, workload,
-experiments) pull in numpy only when actually used.
+experiments) pull in numpy only when actually used.  scipy and networkx
+load only inside the functions that use them: the trace statistics of
+``repro trace-stats``, the seed-sensitivity statistics and the gateway
+ablation.
 """
 
 import importlib

@@ -32,8 +32,6 @@ from .experiments import ablations, fig3_demo, fig5, fig6, fig7, fig8
 from .experiments.config import TRACE_CAMBRIDGE, TRACE_MIT
 from .service.persistence import FSYNC_POLICIES
 from .experiments.report import format_comparison, format_table
-from .traces.analysis import exponential_fit_report, rate_heterogeneity
-from .traces.graph import graph_summary
 from .traces.synthetic import cambridge06_like, mit_reality_like
 
 __all__ = ["main", "build_parser"]
@@ -364,6 +362,9 @@ def _cmd_list() -> int:
 
 
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
+    from .traces.analysis import exponential_fit_report, rate_heterogeneity
+    from .traces.graph import graph_summary
+
     builder = mit_reality_like if args.trace == TRACE_MIT else cambridge06_like
     hours = (300.0 if args.trace == TRACE_MIT else 200.0) * args.scale
     trace = builder(seed=args.seed, duration_hours=hours)

@@ -25,7 +25,6 @@ from ..core.expected_coverage import (
     expected_coverage,
     expected_coverage_sampled,
 )
-from ..traces.graph import GATEWAY_STRATEGIES
 from ..traces.synthetic import gateway_uplink_contacts
 from ..workload.photos import PhotoGenerator, PhotoGeneratorSpec
 from ..workload.pois import random_pois
@@ -179,6 +178,8 @@ def compare_gateway_strategies(
     path: the rebuilt uplinks are a post-build mutation of the scenario,
     so these runs are not expressible as spec-addressed engine units.
     """
+    from ..traces.graph import GATEWAY_STRATEGIES
+
     results: Dict[str, AveragedResult] = {}
     for strategy_name in strategies:
         strategy = GATEWAY_STRATEGIES[strategy_name]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .config import ScenarioSpec
 
@@ -93,6 +92,8 @@ def seed_sensitivity(
     engine: Optional["ExperimentEngine"] = None,
 ) -> Dict[str, SchemeStatistics]:
     """Across-seed mean and t-interval per scheme."""
+    from scipy import stats
+
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     values = _collect(spec, schemes, num_seeds, metric, engine=engine)
@@ -123,6 +124,8 @@ def paired_comparison(
     engine: Optional["ExperimentEngine"] = None,
 ) -> PairedComparison:
     """Paired t-test of *scheme_a* against *scheme_b* (common seeds)."""
+    from scipy import stats
+
     values = _collect(spec, (scheme_a, scheme_b), num_seeds, metric, engine=engine)
     a = np.asarray(values[scheme_a])
     b = np.asarray(values[scheme_b])

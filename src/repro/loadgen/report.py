@@ -30,7 +30,7 @@ def evaluate_slo(result: LoadResult) -> List[str]:
     if slo.max_p99_s is not None:
         for kind, quantiles in sorted(result.op_quantiles().items()):
             p99 = quantiles["p99_s"]
-            if p99 > slo.max_p99_s:
+            if p99 is not None and p99 > slo.max_p99_s:
                 violations.append(
                     f"p99 latency for {kind!r} is {p99:.4f}s "
                     f"(limit {slo.max_p99_s:g}s)"
@@ -106,11 +106,12 @@ def describe_result(report: Dict[str, Any]) -> str:
             f"attainment {stage['attainment']:.3f}{gate}"
         )
     for kind, quantiles in sorted(report["ops"].items()):
+        p50, p95, p99 = (
+            f"{'n/a':>9s}" if quantiles[key] is None else f"{quantiles[key] * 1000:7.2f}ms"
+            for key in ("p50_s", "p95_s", "p99_s")
+        )
         lines.append(
-            f"  {kind:8s} p50 {quantiles['p50_s'] * 1000:7.2f}ms  "
-            f"p95 {quantiles['p95_s'] * 1000:7.2f}ms  "
-            f"p99 {quantiles['p99_s'] * 1000:7.2f}ms  "
-            f"({quantiles['count']} ops)"
+            f"  {kind:8s} p50 {p50}  p95 {p95}  p99 {p99}  ({quantiles['count']} ops)"
         )
     if accounting["killed"] or accounting["reconnects"]:
         lines.append(

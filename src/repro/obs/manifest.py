@@ -478,7 +478,10 @@ def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    tmp.write_text(
+        json.dumps(manifest, indent=2, sort_keys=False, allow_nan=False) + "\n",
+        encoding="utf-8",
+    )
     os.replace(tmp, path)
     return path
 

@@ -245,17 +245,18 @@ class Histogram(Metric):
             lower = bound
         return self.buckets[-1] if self.buckets else float("nan")
 
-    def latency_summary(self) -> Dict[str, float]:
+    def latency_summary(self) -> Dict[str, Optional[float]]:
         """``{count, p50_s, p95_s, p99_s}`` of a series observed in seconds.
 
         The one latency shape the service stats, the service manifest and
-        the load report all carry.
+        the load report all carry.  An empty series has ``None`` (JSON
+        ``null``) quantiles, never ``nan``, which strict JSON rejects.
         """
         return {
             "count": self.count,
-            "p50_s": self.quantile(0.50),
-            "p95_s": self.quantile(0.95),
-            "p99_s": self.quantile(0.99),
+            "p50_s": self.quantile(0.50) if self.count else None,
+            "p95_s": self.quantile(0.95) if self.count else None,
+            "p99_s": self.quantile(0.99) if self.count else None,
         }
 
     def _touched(self) -> bool:

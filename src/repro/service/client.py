@@ -230,6 +230,11 @@ def iter_scenario_events(scenario) -> Iterator[Event]:
         yield queue.pop()
 
 
+def _format_ms(seconds: Optional[float]) -> str:
+    """A latency quantile in ms; ``n/a`` for the ``None`` of an empty series."""
+    return "n/a" if seconds is None else f"{seconds * 1000.0:.2f}ms"
+
+
 @dataclass
 class ReplayReport:
     """What one replay produced, plus the server's closing stats."""
@@ -262,13 +267,11 @@ class ReplayReport:
             )
         for name, summary in sorted(self.stats.get("variants", {}).items()):
             latency = summary.get("latency", {})
-            p50 = latency.get("p50_s", float("nan"))
-            p95 = latency.get("p95_s", float("nan"))
-            p99 = latency.get("p99_s", float("nan"))
+            p50, p95, p99 = (
+                _format_ms(latency.get(key)) for key in ("p50_s", "p95_s", "p99_s")
+            )
             lines.append(
-                f"  {name:10s} latency p50 {p50 * 1000.0:.2f}ms  "
-                f"p95 {p95 * 1000.0:.2f}ms  "
-                f"p99 {p99 * 1000.0:.2f}ms  "
+                f"  {name:10s} latency p50 {p50}  p95 {p95}  p99 {p99}  "
                 f"({summary.get('requests', 0)} requests)"
             )
         router = self.stats.get("router", {})

@@ -50,8 +50,12 @@ class ProtocolError(ValueError):
 
 
 def encode_message(payload: Dict[str, Any]) -> bytes:
-    """One JSON-lines frame: compact JSON, UTF-8, newline-terminated."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    """One JSON-lines frame: compact JSON, UTF-8, newline-terminated.
+
+    Strict JSON: a ``nan`` or infinite float raises ``ValueError``.
+    """
+    payload_json = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    return payload_json.encode("utf-8") + b"\n"
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:

@@ -1,10 +1,12 @@
-"""Contact traces: model, parsers, synthetic generators, mobility models.
+"""Contact traces: model, parsers, synthetic generators, analysis.
 
 Re-exports load lazily (PEP 562): the trace *model* and parsers are pure
-python, but analysis/synthesis/mobility are numpy-backed.  Importing this
-package -- which :mod:`repro.dtn.simulator` does for ``ContactTrace`` --
-must therefore not touch the numerical modules, so that the simulator
-and its pure-python selection run on a numpy-free interpreter.
+python, but analysis/synthesis are numpy-backed, and scipy (``analysis``)
+and networkx (``graph``) load only inside the functions that need them.
+Importing this package -- which :mod:`repro.dtn.simulator` does for
+``ContactTrace`` -- must therefore not touch the numerical modules, so
+that the simulator and its pure-python selection run on a numpy-free
+interpreter.
 """
 
 import importlib

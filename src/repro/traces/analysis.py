@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .model import ContactTrace
 
@@ -50,6 +49,8 @@ class ExponentialFit:
 
 def fit_pair_exponential(pair: Tuple[int, int], gaps: Sequence[float]) -> ExponentialFit:
     """Fit ``Exp(lambda)`` to one pair's gaps and KS-test the fit."""
+    from scipy import stats
+
     if not gaps:
         raise ValueError(f"pair {pair} has no inter-contact gaps to fit")
     samples = np.asarray(gaps, dtype=float)

@@ -8,11 +8,11 @@ import pytest
 
 from repro.core.coverage import CoverageValue
 from repro.core.coverage_index import CoverageIndex
-from repro.core.exhaustive import evaluate_allocation, optimal_reallocation
 from repro.core.geometry import Point
 from repro.core.poi import PoIList
 from repro.core.selection import StorageSpec
 
+from exhaustive import evaluate_allocation, optimal_reallocation
 from helpers import MB, photo_at_aspect
 
 THETA = math.radians(30.0)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.coverage import CoverageValue
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import build_node_profile
-from repro.core.exhaustive import evaluate_allocation, optimal_reallocation
 from repro.core.geometry import Point
 from repro.core.poi import PoIList
 from repro.core.selection import (
@@ -26,6 +25,7 @@ from repro.core.selection import (
     greedy_select,
 )
 
+from exhaustive import evaluate_allocation, optimal_reallocation
 from helpers import MB, make_photo, photo_at_aspect
 
 THETA = math.radians(30.0)

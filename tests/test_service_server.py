@@ -248,6 +248,29 @@ class TestManifest:
         assert "p95_s" in champion["latency"]
         assert server.last_manifest is not None
 
+    def test_variants_that_served_nothing_write_strict_json(self, pois, tmp_path):
+        """Empty latency series are ``null``, never a bare ``NaN`` token."""
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        manifest_path = tmp_path / "service-manifest.json"
+        routing = RoutingConfig(
+            champion="our-scheme",
+            challenger="spray-and-wait",
+            champion_pct=0.0,
+            challenger_pct=100.0,
+        )
+        with running_server(
+            pois=pois, routing=routing, manifest_path=str(manifest_path)
+        ):
+            pass
+        manifest = json.loads(manifest_path.read_text(), parse_constant=reject)
+        assert validate_manifest(manifest) == []
+        assert manifest["variants"]["champion"]["latency"] == {
+            "count": 0, "p50_s": None, "p95_s": None, "p99_s": None,
+        }
+
     def test_request_shutdown_after_the_server_stopped_is_a_no_op(self, pois):
         server = CommandCenterServer(pois=pois, port=0)
         thread = threading.Thread(target=server.run, daemon=True)
