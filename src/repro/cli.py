@@ -36,6 +36,9 @@ from .traces.synthetic import cambridge06_like, mit_reality_like
 
 __all__ = ["main", "build_parser"]
 
+#: ``repro ablation`` studies; the parser's choices and ``repro list``'s row
+ABLATION_STUDIES = ("pthld", "theta", "floor", "churn", "gateways")
+
 
 def _add_engine_flags(cmd: argparse.ArgumentParser) -> None:
     """Engine knobs shared by every comparison-running command."""
@@ -325,10 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ablation = sub.add_parser("ablation", help="design-knob sweeps")
-    ablation.add_argument(
-        "study",
-        choices=["pthld", "theta", "floor", "churn", "gateways", "estimators"],
-    )
+    ablation.add_argument("study", choices=ABLATION_STUDIES)
     ablation.add_argument("--scale", type=float, default=0.2)
     ablation.add_argument("--runs", type=int, default=1)
     ablation.add_argument("--seed", type=int, default=0)
@@ -355,7 +355,7 @@ def _cmd_list() -> int:
         ["serve", "always-on command-center service (--challenger for A/B)"],
         ["replay", "stream a scenario through a live server (--shutdown)"],
         ["loadgen", "open-loop load + chaos soak with SLO gating (--plan smoke|soak)"],
-        ["ablation", "pthld | theta | floor | gateways | estimators"],
+        ["ablation", " | ".join(ABLATION_STUDIES)],
     ]
     print(format_table(["command", "what it reproduces"], rows))
     return 0
@@ -402,16 +402,9 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     elif args.study == "churn":
         print(format_comparison(ablations.sweep_churn(**common),
                                 title="participation churn sweep"))
-    elif args.study == "gateways":
+    else:
         print(format_comparison(ablations.compare_gateway_strategies(**common),
                                 title="gateway placement strategies"))
-    else:
-        outcome = ablations.compare_expected_coverage_estimators(seed=args.seed)
-        rows = [
-            [name, f"{point:.2f}", f"{aspect:.1f}", f"{seconds * 1000:.1f}ms"]
-            for name, (point, aspect, seconds) in outcome.items()
-        ]
-        print(format_table(["estimator", "point", "aspect-deg", "time"], rows))
     if args.study in ("pthld", "theta", "floor"):
         _note_manifest(engine)
     return 0

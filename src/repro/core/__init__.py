@@ -32,7 +32,6 @@ from .expected_coverage import (
     build_node_profile,
     expected_coverage,
     expected_coverage_enumerated,
-    expected_coverage_sampled,
 )
 from .geometry import Point, Sector, coverage_range_from_fov
 from .metadata import DEFAULT_PHOTO_SIZE_BYTES, Photo, PhotoMetadata
@@ -74,7 +73,6 @@ __all__ = [
     "build_node_profile",
     "expected_coverage",
     "expected_coverage_enumerated",
-    "expected_coverage_sampled",
     "CollectionReport",
     "PoICoverageReport",
     "analyze_collection",

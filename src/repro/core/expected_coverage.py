@@ -29,8 +29,7 @@ the newly covered aspect range -- evaluated lazily per PoI the candidate
 photo covers.  Both build that per-PoI survival function with the one
 sweep in :class:`_PoIBackground`.
 
-Everything here runs in pure python; only the Monte-Carlo test oracle
-:func:`expected_coverage_sampled` imports numpy, when it is called.
+Everything here runs in pure python.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "build_node_profile",
     "expected_coverage",
     "expected_coverage_enumerated",
-    "expected_coverage_sampled",
     "SelectionEvaluator",
 ]
 
@@ -204,39 +202,6 @@ def expected_coverage_enumerated(
             continue
         total = total + _coverage_of_profiles(index, delivered).scaled(probability)
     return total
-
-
-def expected_coverage_sampled(
-    index: CoverageIndex,
-    profiles: Sequence[NodeProfile],
-    samples: int = 1000,
-    seed: int = 0,
-) -> CoverageValue:
-    """Monte-Carlo estimate of Definition 2 by sampling delivery outcomes.
-
-    Provided as a cross-check and as a fallback strategy discussion point:
-    the exact sweep (:func:`expected_coverage`) is already polynomial, so
-    sampling is never *required* -- but it demonstrates the accuracy/cost
-    trade-off an enumeration-based implementation would face, and the
-    ablation bench compares the two.  Uses common random numbers via the
-    fixed *seed* so estimates are reproducible.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    import numpy as np
-
-    certain = [p for p in profiles if p.is_certain]
-    uncertain = [p for p in profiles if not p.is_certain and p.delivery_probability > 0.0]
-    if not uncertain:
-        return _coverage_of_profiles(index, certain)
-    rng = np.random.default_rng(seed)
-    probabilities = np.array([p.delivery_probability for p in uncertain])
-    total = CoverageValue.ZERO
-    for _ in range(samples):
-        draws = rng.random(len(uncertain)) < probabilities
-        delivered = list(certain) + [p for p, hit in zip(uncertain, draws) if hit]
-        total = total + _coverage_of_profiles(index, delivered)
-    return total.scaled(1.0 / samples)
 
 
 def _coverage_of_profiles(index: CoverageIndex, profiles: Sequence[NodeProfile]) -> CoverageValue:

@@ -9,9 +9,8 @@ module implements both:
 * :func:`quality_filter` -- the binary prefilter;
 * :class:`TimeDecay` -- a continuous freshness factor ``exp(-age / tau)``
   (photos of a collapsing building age fast; survey photos slowly);
-* :class:`QualityWeightedIndex` -- a :class:`CoverageIndex` wrapper whose
-  aspect arcs are unchanged but whose evaluation helpers expose a
-  quality-discounted value for ranking heuristics.
+* :func:`discounted_value` -- a coverage value scaled by quality and
+  freshness, for ranking heuristics.
 
 The selection algorithm itself stays quality-agnostic (as in the paper);
 the intended composition is to prefilter the photo stream before it

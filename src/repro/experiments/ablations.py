@@ -8,26 +8,15 @@ design fixes by fiat:
 * the effective angle ``theta`` (30 degrees in Table I, 40 in the demo);
 * the cold-start delivery-probability floor this implementation adds;
 * gateway placement strategy (random, as in the paper, vs. degree- or
-  betweenness-central), using the contact-graph tooling;
-* exact sweep vs. Monte-Carlo evaluation of expected coverage
-  (accuracy and cost).
+  betweenness-central), using the contact-graph tooling.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from ..core.coverage_index import CoverageIndex
-from ..core.expected_coverage import (
-    build_node_profile,
-    expected_coverage,
-    expected_coverage_sampled,
-)
 from ..traces.synthetic import gateway_uplink_contacts
-from ..workload.photos import PhotoGenerator, PhotoGeneratorSpec
-from ..workload.pois import random_pois
 from .config import ScenarioSpec, TableISettings
 from .runner import AveragedResult, average_results, run_scenario
 
@@ -40,7 +29,6 @@ __all__ = [
     "sweep_probability_floor",
     "sweep_churn",
     "compare_gateway_strategies",
-    "compare_expected_coverage_estimators",
 ]
 
 
@@ -206,41 +194,3 @@ def compare_gateway_strategies(
         results[strategy_name] = average_results(run_results)
     return results
 
-
-def compare_expected_coverage_estimators(
-    num_nodes: int = 12,
-    photos_per_node: int = 15,
-    samples: int = 500,
-    seed: int = 0,
-) -> Dict[str, Tuple[float, float, float]]:
-    """Exact sweep vs. Monte-Carlo on one synthetic node set.
-
-    Returns ``{method: (point, aspect_deg, seconds)}`` -- the ablation
-    bench asserts the sampled estimate lands near the exact value and
-    reports the cost ratio.
-    """
-    settings = TableISettings()
-    pois = random_pois(100, seed=seed)
-    index = CoverageIndex(pois, effective_angle=settings.effective_angle_rad())
-    generator = PhotoGenerator(
-        PhotoGeneratorSpec(targeted_fraction=0.6), pois=pois, seed=seed
-    )
-    profiles = []
-    for node in range(1, num_nodes + 1):
-        photos = generator.batch(photos_per_node)
-        probability = 0.1 + 0.8 * (node - 1) / max(1, num_nodes - 1)
-        profiles.append(build_node_profile(index, node, photos, probability))
-
-    out: Dict[str, Tuple[float, float, float]] = {}
-    start = time.perf_counter()
-    exact = expected_coverage(index, profiles)
-    out["exact-sweep"] = (exact.point, exact.aspect_degrees, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    sampled = expected_coverage_sampled(index, profiles, samples=samples, seed=seed)
-    out[f"monte-carlo-{samples}"] = (
-        sampled.point,
-        sampled.aspect_degrees,
-        time.perf_counter() - start,
-    )
-    return out

@@ -158,13 +158,9 @@ class ScenarioSpec:
                 else cambridge06_like(seed=self.seed, duration_hours=duration_hours)
             )
         else:
-            template = (
-                mit_reality_like(seed=0, duration_hours=1.0)
-                if self.trace_name == TRACE_MIT
-                else cambridge06_like(seed=0, duration_hours=1.0)
-            )
-            # Rebuild from the template's spec at reduced node count so the
-            # per-node contact density stays comparable.
+            # A smaller trace in the same generator family, with community
+            # count and rates set so the per-node contact density stays
+            # comparable to the full-scale trace.
             if self.trace_name == TRACE_MIT:
                 spec = SyntheticTraceSpec(
                     num_nodes=num_nodes,

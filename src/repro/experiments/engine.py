@@ -214,24 +214,18 @@ class ResultCache:
     def path_for(self, unit: RunUnit) -> Path:
         return self.directory / f"{unit.key()}.json"
 
-    def get(self, unit: RunUnit) -> Optional[SimulationResult]:
-        payload = self.get_payload(unit)
-        if payload is None:
-            return None
-        try:
-            return result_from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            return None
+    def get(
+        self, unit: RunUnit
+    ) -> Optional[Tuple[SimulationResult, Optional[Dict[str, Any]]]]:
+        """The stored result and its telemetry snapshot, or None on a miss.
 
-    def get_payload(self, unit: RunUnit) -> Optional[Dict[str, Any]]:
-        """The full stored entry (result dict, duration, telemetry) or None."""
+        A missing, torn or undecodable entry is a miss.
+        """
         try:
             payload = json.loads(self.path_for(unit).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            return result_from_dict(payload["result"]), payload.get("telemetry")
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        if not isinstance(payload, dict) or "result" not in payload:
-            return None
-        return payload
 
     def put(
         self,
@@ -343,33 +337,32 @@ class ExperimentEngine:
                     )
                 )
 
+        def finish_executed(
+            index: int, executed: Tuple[Dict[str, Any], float, Optional[Dict[str, Any]]]
+        ) -> None:
+            payload, duration, snapshot = executed
+            if self.cache is not None:
+                self.cache.put(units[index], payload, duration, telemetry=snapshot)
+            finish(
+                index,
+                UnitOutcome(units[index], result_from_dict(payload), duration, False, snapshot),
+            )
+
         for index, unit in enumerate(units):
             key = unit.key()
             if key in first_index:
                 continue  # duplicate: resolved at merge time
             first_index[key] = index
-            entry = self.cache.get_payload(unit) if self.cache is not None else None
-            if entry is not None:
-                try:
-                    hit = result_from_dict(entry["result"])
-                except (ValueError, KeyError, TypeError):
-                    hit = None
-                if hit is not None:
-                    finish(index, UnitOutcome(unit, hit, 0.0, True, entry.get("telemetry")))
-                    continue
-            pending.append(index)
+            hit = self.cache.get(unit) if self.cache is not None else None
+            if hit is not None:
+                result, snapshot = hit
+                finish(index, UnitOutcome(unit, result, 0.0, True, snapshot))
+            else:
+                pending.append(index)
 
         if pending and (self.workers == 1 or len(pending) == 1):
             for index in pending:
-                payload, duration, snapshot = _execute_unit(units[index])
-                if self.cache is not None:
-                    self.cache.put(units[index], payload, duration, telemetry=snapshot)
-                finish(
-                    index,
-                    UnitOutcome(
-                        units[index], result_from_dict(payload), duration, False, snapshot
-                    ),
-                )
+                finish_executed(index, _execute_unit(units[index]))
         elif pending:
             max_workers = min(self.workers, len(pending))
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
@@ -377,20 +370,7 @@ class ExperimentEngine:
                     pool.submit(_execute_unit, units[index]): index for index in pending
                 }
                 for future in as_completed(futures):
-                    index = futures[future]
-                    payload, duration, snapshot = future.result()
-                    if self.cache is not None:
-                        self.cache.put(units[index], payload, duration, telemetry=snapshot)
-                    finish(
-                        index,
-                        UnitOutcome(
-                            units[index],
-                            result_from_dict(payload),
-                            duration,
-                            False,
-                            snapshot,
-                        ),
-                    )
+                    finish_executed(futures[future], future.result())
 
         merged: List[UnitOutcome] = []
         for index, unit in enumerate(units):

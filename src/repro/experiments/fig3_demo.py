@@ -124,7 +124,7 @@ def build_demo_photos(
         raise ValueError(f"need 0 <= on_target <= total, got {on_target}/{total}")
     rng = np.random.default_rng(seed)
     viewpoints = ring_viewpoints(target, on_target, radius_m=90.0, jitter_m=25.0, seed=seed)
-    arrivals: List[PhotoArrival] = []
+    metadata: List[PhotoMetadata] = []
     for i in range(total):
         fov = math.radians(rng.uniform(30.0, 60.0))
         coverage_range = rng.uniform(50.0, 100.0) / math.tan(fov / 2.0)
@@ -137,25 +137,22 @@ def build_demo_photos(
                 target.y + rng.uniform(-900.0, 900.0),
             )
             orientation = rng.uniform(0.0, 2.0 * math.pi)
-        photo = Photo(
-            metadata=PhotoMetadata(viewpoint, coverage_range, fov, orientation),
-            size_bytes=DEFAULT_PHOTO_SIZE_BYTES,
-            taken_at=photo_time,
-            owner_id=0,  # reassigned below
-        )
-        arrivals.append(PhotoArrival(time=photo_time, owner_id=0, photo=photo))
+        metadata.append(PhotoMetadata(viewpoint, coverage_range, fov, orientation))
     # Shuffle and deal 5 photos per participant so ring shots are spread
-    # across owners, as in the paper's assignment.
+    # across owners, as in the paper's assignment.  The id is the dealing
+    # position, not the next value of the process-wide counter: PhotoNet
+    # hashes the id into its pseudo-colour, so the demo's result would
+    # otherwise depend on how many photos the process made before it.
     order = rng.permutation(total)
     dealt: List[PhotoArrival] = []
-    for position, arrival_index in enumerate(order):
+    for position, index in enumerate(order):
         owner = 1 + position % 8
-        original = arrivals[int(arrival_index)]
         photo = Photo(
-            metadata=original.photo.metadata,
-            size_bytes=original.photo.size_bytes,
-            taken_at=original.photo.taken_at,
+            metadata=metadata[int(index)],
+            size_bytes=DEFAULT_PHOTO_SIZE_BYTES,
+            taken_at=photo_time,
             owner_id=owner,
+            photo_id=position,
         )
         dealt.append(PhotoArrival(time=photo_time, owner_id=owner, photo=photo))
     return dealt

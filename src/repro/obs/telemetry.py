@@ -38,15 +38,7 @@ are fed from one place.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
-
-try:  # Protocol is 3.8+; keep a runtime-checkable fallback cheap.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Protocol, runtime_checkable
 
 from .registry import MetricsRegistry
 

@@ -28,9 +28,6 @@ _EXPORTS = {
     "select_gateways_random": "graph",
     "ContactRecord": "model",
     "ContactTrace": "model",
-    "bootstrap_trace": "transforms",
-    "subsample_nodes": "transforms",
-    "time_scale": "transforms",
     "TraceParseError": "parser",
     "load_trace": "parser",
     "parse_csv": "parser",

@@ -121,31 +121,6 @@ class ContactTrace:
             name=name or f"{self.name}:shifted",
         )
 
-    def relabeled(self, mapping: Dict[int, int], name: Optional[str] = None) -> "ContactTrace":
-        """Trace with node ids renamed through *mapping* (total on the trace)."""
-        return ContactTrace(
-            (
-                ContactRecord(c.start, mapping[c.node_a], mapping[c.node_b], c.duration)
-                for c in self._contacts
-            ),
-            name=name or f"{self.name}:relabeled",
-        )
-
-    def with_duration_cap(self, cap: float, name: Optional[str] = None) -> "ContactTrace":
-        """Trace with every contact duration clipped to *cap* seconds.
-
-        This is how the Fig. 6 contact-duration experiment is realized.
-        """
-        if cap < 0.0:
-            raise ValueError(f"duration cap must be non-negative, got {cap}")
-        return ContactTrace(
-            (
-                ContactRecord(c.start, c.node_a, c.node_b, min(c.duration, cap))
-                for c in self._contacts
-            ),
-            name=name or f"{self.name}:capped",
-        )
-
     def merged_with(self, other: "ContactTrace", name: Optional[str] = None) -> "ContactTrace":
         return ContactTrace(
             list(self._contacts) + list(other._contacts),

@@ -2,60 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.expected_coverage import (
-    build_node_profile,
-    expected_coverage,
-    expected_coverage_sampled,
-)
-from repro.core.coverage_index import CoverageIndex
-from repro.core.geometry import Point
-from repro.core.poi import PoIList
 from repro.experiments import ablations
 
-from helpers import photo_at_aspect
-
 SCALE = 0.08
-
-
-class TestExpectedCoverageSampled:
-    def test_matches_exact_within_noise(self):
-        pois = PoIList.from_points([Point(0.0, 0.0), Point(400.0, 0.0)])
-        index = CoverageIndex(pois)
-        profiles = [
-            build_node_profile(index, 1, [photo_at_aspect(Point(0, 0), 0.0)], 0.5),
-            build_node_profile(index, 2, [photo_at_aspect(Point(0, 0), 120.0)], 0.7),
-            build_node_profile(index, 3, [photo_at_aspect(Point(400, 0), 45.0)], 0.3),
-        ]
-        exact = expected_coverage(index, profiles)
-        sampled = expected_coverage_sampled(index, profiles, samples=4000, seed=0)
-        assert sampled.point == pytest.approx(exact.point, rel=0.1)
-        assert sampled.aspect == pytest.approx(exact.aspect, rel=0.1)
-
-    def test_certain_only_is_exact(self):
-        pois = PoIList.from_points([Point(0.0, 0.0)])
-        index = CoverageIndex(pois)
-        profiles = [build_node_profile(index, 0, [photo_at_aspect(Point(0, 0), 0.0)], 1.0)]
-        sampled = expected_coverage_sampled(index, profiles, samples=1, seed=0)
-        assert sampled.isclose(expected_coverage(index, profiles))
-
-    def test_validation(self):
-        pois = PoIList.from_points([Point(0.0, 0.0)])
-        index = CoverageIndex(pois)
-        with pytest.raises(ValueError):
-            expected_coverage_sampled(index, [], samples=0)
-
-    def test_deterministic_for_seed(self):
-        pois = PoIList.from_points([Point(0.0, 0.0)])
-        index = CoverageIndex(pois)
-        profiles = [
-            build_node_profile(index, 1, [photo_at_aspect(Point(0, 0), 0.0)], 0.5)
-        ]
-        a = expected_coverage_sampled(index, profiles, samples=100, seed=7)
-        b = expected_coverage_sampled(index, profiles, samples=100, seed=7)
-        assert a == b
 
 
 class TestAblations:
@@ -85,15 +39,6 @@ class TestAblations:
         )
         assert set(results) == {"random", "degree"}
 
-    def test_estimator_comparison(self):
-        outcome = ablations.compare_expected_coverage_estimators(
-            num_nodes=6, photos_per_node=8, samples=200, seed=0
-        )
-        exact_point, exact_aspect, _ = outcome["exact-sweep"]
-        sampled_point, sampled_aspect, _ = outcome["monte-carlo-200"]
-        assert sampled_point == pytest.approx(exact_point, rel=0.15)
-        assert sampled_aspect == pytest.approx(exact_aspect, rel=0.15)
-
 
 class TestCli:
     def test_parser_subcommands(self):
@@ -107,6 +52,22 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig5" in out and "ablation" in out
+
+    def test_list_names_every_ablation_study(self, capsys):
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        study = next(
+            action for action in subcommands.choices["ablation"]._actions
+            if action.dest == "study"
+        )
+        assert main(["list"]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("ablation ")
+        )
+        assert set(study.choices) == set(row.split()[1:]) - {"|"}
 
     def test_demo_command(self, capsys):
         assert main(["demo", "--seed", "0"]) == 0
@@ -130,11 +91,6 @@ class TestCli:
         assert "contact graph" in out
         assert "heterogeneity" in out
 
-    def test_ablation_estimators_command(self, capsys):
-        assert main(["ablation", "estimators"]) == 0
-        out = capsys.readouterr().out
-        assert "exact-sweep" in out
-
     def test_ablation_floor_command(self, capsys):
         assert main(["ablation", "floor", "--scale", str(SCALE)]) == 0
         out = capsys.readouterr().out
@@ -143,3 +99,25 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])
+        with pytest.raises(SystemExit):
+            main(["ablation", "estimators"])
+
+
+class TestChurnAblation:
+    def test_sweep_churn_shape(self):
+        results = ablations.sweep_churn(
+            availabilities=(1.0, 0.5), scale=SCALE, num_runs=1
+        )
+        assert set(results) == {"availability=1.0", "availability=0.5"}
+        full = results["availability=1.0"]
+        churned = results["availability=0.5"]
+        # Losing half the participation time cannot help.
+        assert churned.point_coverage <= full.point_coverage + 0.05
+
+    def test_sweep_churn_validation(self):
+        with pytest.raises(ValueError):
+            ablations.sweep_churn(availabilities=(0.0,), scale=SCALE)
+
+    def test_cli_churn(self, capsys):
+        assert main(["ablation", "churn", "--scale", str(SCALE)]) == 0
+        assert "availability=" in capsys.readouterr().out

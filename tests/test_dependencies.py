@@ -1,5 +1,8 @@
 """The declared dependencies cover every import, and the heavy ones load lazily.
 
+``repro.core`` goes further: it imports no numpy at all, so selection runs
+on a numpy-free interpreter.
+
 Both checks run in a fresh interpreter, so modules this test session has
 already imported cannot hide a missing import.  Neither ``tomllib`` nor
 ``sys.stdlib_module_names`` exists on Python 3.9, so ``pyproject.toml`` is
@@ -9,6 +12,7 @@ directory".
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -158,3 +162,21 @@ def test_scipy_and_networkx_load_only_where_used():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+def _imported_modules(tree: ast.AST):
+    """Every absolute module an ``import`` anywhere in *tree* names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module
+
+
+def test_core_imports_no_numpy():
+    offenders = []
+    for path in sorted((SRC / "repro" / "core").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(m.partition(".")[0] == "numpy" for m in _imported_modules(tree)):
+            offenders.append(path.relative_to(SRC).as_posix())
+    assert offenders == []

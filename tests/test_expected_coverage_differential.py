@@ -2,9 +2,10 @@
 
 ``expected_coverage`` (the exact polynomial endpoint sweep) is the
 production path; ``expected_coverage_enumerated`` is Definition 2 executed
-literally over all 2^m delivery outcomes; ``expected_coverage_sampled`` is
-the Monte-Carlo cross-check.  On randomized node profiles up to m = 8 the
-three must agree within documented tolerances:
+literally over all 2^m delivery outcomes; ``expected_coverage_sampled``,
+defined here as a test oracle, is the Monte-Carlo cross-check.  On
+randomized node profiles up to m = 8 the three must agree within
+documented tolerances:
 
 * sweep vs enumeration: floating-point tolerance (both are exact; they
   differ only in summation order), 1e-9 relative / 1e-12 absolute.
@@ -29,19 +30,22 @@ from __future__ import annotations
 import importlib.util
 import math
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.angular import AngularInterval, ArcSet
+from repro.core.coverage import CoverageValue
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import (
+    NodeProfile,
     SelectionEvaluator,
+    _coverage_of_profiles,
     build_node_profile,
     expected_coverage,
     expected_coverage_enumerated,
-    expected_coverage_sampled,
 )
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
@@ -55,6 +59,37 @@ needs_numpy = pytest.mark.skipif(
 THETA = math.radians(30.0)
 
 POIS = [Point(0.0, 0.0), Point(500.0, 0.0), Point(0.0, 500.0)]
+
+
+def expected_coverage_sampled(
+    index: CoverageIndex,
+    profiles: Sequence[NodeProfile],
+    samples: int = 1000,
+    seed: int = 0,
+) -> CoverageValue:
+    """Monte-Carlo estimate of Definition 2 by sampling delivery outcomes.
+
+    An independent estimate of what :func:`expected_coverage` computes
+    exactly: each sample draws every uncertain node's delivery, and the
+    estimate is the mean deterministic coverage of the delivered
+    collections.  The fixed *seed* makes estimates reproducible.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    import numpy as np
+
+    certain = [p for p in profiles if p.is_certain]
+    uncertain = [p for p in profiles if not p.is_certain and p.delivery_probability > 0.0]
+    if not uncertain:
+        return _coverage_of_profiles(index, certain)
+    rng = np.random.default_rng(seed)
+    probabilities = np.array([p.delivery_probability for p in uncertain])
+    total = CoverageValue.ZERO
+    for _ in range(samples):
+        draws = rng.random(len(uncertain)) < probabilities
+        delivered = list(certain) + [p for p, hit in zip(uncertain, draws) if hit]
+        total = total + _coverage_of_profiles(index, delivered)
+    return total.scaled(1.0 / samples)
 
 
 def _index() -> CoverageIndex:
@@ -150,6 +185,45 @@ class TestEvaluatorEdgeAgreement:
         assert exact.point == pytest.approx(sampled.point, rel=1e-12)
         assert exact.aspect == pytest.approx(enumerated.aspect, rel=1e-9)
         assert exact.aspect == pytest.approx(sampled.aspect, rel=1e-9)
+
+
+@needs_numpy
+class TestExpectedCoverageSampled:
+    def test_matches_exact_within_noise(self):
+        pois = PoIList.from_points([Point(0.0, 0.0), Point(400.0, 0.0)])
+        index = CoverageIndex(pois)
+        profiles = [
+            build_node_profile(index, 1, [photo_at_aspect(Point(0, 0), 0.0)], 0.5),
+            build_node_profile(index, 2, [photo_at_aspect(Point(0, 0), 120.0)], 0.7),
+            build_node_profile(index, 3, [photo_at_aspect(Point(400, 0), 45.0)], 0.3),
+        ]
+        exact = expected_coverage(index, profiles)
+        sampled = expected_coverage_sampled(index, profiles, samples=4000, seed=0)
+        assert sampled.point == pytest.approx(exact.point, rel=0.1)
+        assert sampled.aspect == pytest.approx(exact.aspect, rel=0.1)
+
+    def test_certain_only_is_exact(self):
+        pois = PoIList.from_points([Point(0.0, 0.0)])
+        index = CoverageIndex(pois)
+        profiles = [build_node_profile(index, 0, [photo_at_aspect(Point(0, 0), 0.0)], 1.0)]
+        sampled = expected_coverage_sampled(index, profiles, samples=1, seed=0)
+        assert sampled.isclose(expected_coverage(index, profiles))
+
+    def test_validation(self):
+        pois = PoIList.from_points([Point(0.0, 0.0)])
+        index = CoverageIndex(pois)
+        with pytest.raises(ValueError):
+            expected_coverage_sampled(index, [], samples=0)
+
+    def test_deterministic_for_seed(self):
+        pois = PoIList.from_points([Point(0.0, 0.0)])
+        index = CoverageIndex(pois)
+        profiles = [
+            build_node_profile(index, 1, [photo_at_aspect(Point(0, 0), 0.0)], 0.5)
+        ]
+        a = expected_coverage_sampled(index, profiles, samples=100, seed=7)
+        b = expected_coverage_sampled(index, profiles, samples=100, seed=7)
+        assert a == b
 
 
 def _random_pool(rng: random.Random, size: int):

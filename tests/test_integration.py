@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.geometry import Point
 from repro.experiments import fig3_demo, fig5, fig6
 from repro.experiments.config import ScenarioSpec
 from repro.experiments.runner import run_comparison, run_scenario
@@ -120,6 +121,13 @@ class TestPrototypeDemo:
         outcomes = fig3_demo.run(seed=0)
         assert outcomes["spray-and-wait"].delivered_photos <= 12
         assert outcomes["photonet"].delivered_photos <= 12
+
+    def test_demo_photo_ids_do_not_depend_on_earlier_photos(self):
+        """PhotoNet hashes photo ids, so the demo must not draw them from
+        the process-wide counter."""
+        first = fig3_demo.build_demo_photos(Point(0.0, 0.0), 0.0)
+        second = fig3_demo.build_demo_photos(Point(0.0, 0.0), 0.0)
+        assert [a.photo.photo_id for a in first] == [a.photo.photo_id for a in second]
 
     def test_demo_report_renders(self):
         outcomes = fig3_demo.run(seed=1)

@@ -85,16 +85,6 @@ class TestContactTrace:
         assert shifted.start_time == 10.0
         assert len(shifted) == 4
 
-    def test_relabeled(self):
-        relabeled = self.sample().relabeled({1: 10, 2: 20, 3: 30})
-        assert relabeled.node_ids() == {10, 20, 30}
-
-    def test_duration_cap(self):
-        capped = self.sample().with_duration_cap(30.0)
-        assert all(c.duration <= 30.0 for c in capped)
-        with pytest.raises(ValueError):
-            self.sample().with_duration_cap(-1.0)
-
     def test_merged_with(self):
         extra = ContactTrace([record(500.0, 4, 5)])
         merged = self.sample().merged_with(extra)
