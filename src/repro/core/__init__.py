@@ -37,7 +37,6 @@ from .geometry import Point, Sector, coverage_range_from_fov
 from .metadata import DEFAULT_PHOTO_SIZE_BYTES, Photo, PhotoMetadata
 from .metrics import CollectionReport, PoICoverageReport, analyze_collection
 from .poi import PoI, PoIList
-from .quality import QualityPolicy, TimeDecay, discounted_value, quality_filter
 from .selection import (
     NodeSelection,
     ReallocationResult,
@@ -76,10 +75,6 @@ __all__ = [
     "CollectionReport",
     "PoICoverageReport",
     "analyze_collection",
-    "QualityPolicy",
-    "TimeDecay",
-    "discounted_value",
-    "quality_filter",
     "Point",
     "Sector",
     "coverage_range_from_fov",

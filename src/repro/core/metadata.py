@@ -94,24 +94,19 @@ class Photo:
     within a process so collections can be treated as sets of ids.
 
     ``features`` optionally carries an application feature vector (the
-    PhotoNet baseline uses a color-histogram surrogate); ``quality`` is a
-    [0, 1] score available for the binary quality prefilter discussed in
-    Section II-C.
+    PhotoNet baseline uses a color-histogram surrogate).
     """
 
     metadata: PhotoMetadata
     size_bytes: int = DEFAULT_PHOTO_SIZE_BYTES
     taken_at: float = 0.0
     owner_id: Optional[int] = None
-    quality: float = 1.0
     features: Optional[tuple] = None
     photo_id: int = field(default_factory=lambda: next(_photo_ids))
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
-        if not 0.0 <= self.quality <= 1.0:
-            raise ValueError(f"quality must be in [0, 1], got {self.quality}")
 
     @property
     def location(self) -> Point:

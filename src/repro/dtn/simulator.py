@@ -31,7 +31,7 @@ from .events import Event, EventKind, EventQueue
 from .faults import FaultCounters, FaultInjector, FaultPlan
 from .node import COMMAND_CENTER_ID, CommandCenter, DTNNode
 
-__all__ = ["SimulationConfig", "SampleRecord", "SimulationResult", "Simulation"]
+__all__ = ["SimulationConfig", "SampleRecord", "SimulationResult", "Simulation", "nearest_rank"]
 
 GIGABYTE = 1024**3
 MEGABYTE = 1024**2
@@ -107,13 +107,21 @@ class SimulationResult:
 
         Returns ``nan`` when nothing was delivered.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.delivery_latencies_s:
-            return float("nan")
-        ordered = sorted(self.delivery_latencies_s)
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
+        return nearest_rank(self.delivery_latencies_s, q)
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """The *q*-quantile (0..1) of *values* by the nearest-rank rule.
+
+    The rank is ``round(q * (n - 1))`` into the sorted values; ``nan``
+    when *values* is empty.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if not values:
+        return float("nan")
+    ordered = sorted(values)
+    return ordered[round(q * (len(ordered) - 1))]
 
 
 class Simulation:

@@ -32,7 +32,6 @@ from .runner import (
     PAPER_SCHEMES,
     AveragedResult,
     average_results,
-    run_comparison,
     run_scenario,
     run_spec,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "PAPER_SCHEMES",
     "AveragedResult",
     "average_results",
-    "run_comparison",
     "run_scenario",
     "run_spec",
 ]

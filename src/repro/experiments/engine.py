@@ -138,7 +138,7 @@ class RunPlan:
 
         Seeds follow the historical ``spec.seed + 1000 * run`` ladder, and
         all schemes of one repetition share the seeded spec (common random
-        numbers), exactly like the serial ``run_comparison`` always did.
+        numbers).
         """
         if num_runs < 1:
             raise ValueError(f"num_runs must be at least 1, got {num_runs}")

@@ -19,7 +19,7 @@ geometry as Fig. 2(b).  The headline result to reproduce in shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from ..core.geometry import Point
@@ -171,6 +171,8 @@ def build_demo_photos_with_sensors(
     error), and the coverage range follows r = c * cot(phi / 2).  Running
     the demo on these noisy tuples checks the paper's implicit claim that
     sensor-grade metadata is accurate enough for coverage-driven selection.
+    Each captured photo keeps its ideal photo's id, for the reason
+    :func:`build_demo_photos` gives.
     """
     from ..sensors import CameraSpec, GpsSimulator, ImuSimulator, MetadataAcquisition
 
@@ -193,8 +195,8 @@ def build_demo_photos_with_sensors(
             taken_at=photo_time,
             owner_id=arrival.owner_id,
         )
-        arrivals.append(PhotoArrival(time=photo_time, owner_id=arrival.owner_id,
-                                     photo=measured))
+        photo = replace(measured, photo_id=arrival.photo.photo_id)
+        arrivals.append(PhotoArrival(time=photo_time, owner_id=arrival.owner_id, photo=photo))
     return arrivals
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from .config import TRACE_MIT, ScenarioSpec
 from .report import format_comparison, format_series
-from .runner import PAPER_SCHEMES, AveragedResult, run_comparison
+from .runner import PAPER_SCHEMES, AveragedResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ExperimentEngine
@@ -41,8 +41,10 @@ def run(
     engine: Optional["ExperimentEngine"] = None,
 ) -> Dict[str, AveragedResult]:
     """Run the Fig. 5 comparison and return per-scheme averaged results."""
-    return run_comparison(
-        spec(scale=scale, seed=seed), schemes, num_runs=num_runs, engine=engine
+    from .engine import default_engine
+
+    return (engine or default_engine()).run_comparison(
+        spec(scale=scale, seed=seed), schemes, num_runs=num_runs
     )
 
 

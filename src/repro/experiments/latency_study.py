@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from ..dtn.simulator import nearest_rank
 from .config import ScenarioSpec
 from .report import format_table
 from .runner import run_scenario
@@ -66,20 +67,13 @@ def run_latency_study(
 
     summaries: Dict[str, LatencySummary] = {}
     for name in schemes:
-        latencies = sorted(pooled[name])
-
-        def percentile(q: float) -> float:
-            if not latencies:
-                return float("nan")
-            rank = min(len(latencies) - 1, max(0, round(q * (len(latencies) - 1))))
-            return latencies[rank] / 3600.0
-
+        latencies = pooled[name]
         summaries[name] = LatencySummary(
             scheme=name,
             delivered=delivered[name],
-            p50_h=percentile(0.5),
-            p90_h=percentile(0.9),
-            max_h=(latencies[-1] / 3600.0) if latencies else float("nan"),
+            p50_h=nearest_rank(latencies, 0.5) / 3600.0,
+            p90_h=nearest_rank(latencies, 0.9) / 3600.0,
+            max_h=nearest_rank(latencies, 1.0) / 3600.0,
             point_coverage=coverage[name] / num_runs,
         )
     return summaries

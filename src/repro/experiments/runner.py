@@ -4,9 +4,8 @@ Every figure driver boils down to: build a scenario from a
 :class:`~repro.experiments.config.ScenarioSpec`, run each scheme on it
 over several seeds, and average the sample series.  The heavy lifting now
 lives in :mod:`repro.experiments.engine` (run plans, worker pools, result
-cache); this module keeps the single-run primitives plus thin
-compatibility shims (:func:`run_spec`, :func:`run_comparison`) so
-existing callers and tests are untouched.
+cache); this module keeps the single-run primitives and the averaging
+they feed.
 
 Scheme construction goes through the decorator registry in
 :mod:`repro.routing.registry` -- ``create_scheme(spec)`` with the shared
@@ -16,7 +15,7 @@ Scheme construction goes through the decorator registry in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..dtn.simulator import Simulation, SimulationConfig, SimulationResult
 from ..routing import create_scheme
@@ -24,13 +23,11 @@ from .config import Scenario, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.telemetry import SimTelemetry
-    from .engine import ExperimentEngine
 
 __all__ = [
     "PAPER_SCHEMES",
     "AveragedResult",
     "run_spec",
-    "run_comparison",
     "run_scenario",
     "average_results",
 ]
@@ -146,23 +143,3 @@ def average_results(results: Sequence[SimulationResult]) -> AveragedResult:
         delivered_series=delivered_series,
     )
 
-
-def run_comparison(
-    spec: ScenarioSpec,
-    scheme_names: Sequence[str] = PAPER_SCHEMES,
-    num_runs: int = 1,
-    engine: Optional["ExperimentEngine"] = None,
-) -> Dict[str, AveragedResult]:
-    """Run every scheme on *num_runs* seed-varied instances of *spec*.
-
-    All schemes see the exact same scenario instance per seed (common
-    random numbers), which sharpens the paired comparison the figures
-    make.  Compatibility shim over
-    :meth:`repro.experiments.engine.ExperimentEngine.run_comparison`;
-    pass an *engine* to parallelize or cache.
-    """
-    from .engine import default_engine
-
-    if num_runs < 1:
-        raise ValueError(f"num_runs must be at least 1, got {num_runs}")
-    return (engine or default_engine()).run_comparison(spec, scheme_names, num_runs)

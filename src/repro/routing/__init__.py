@@ -12,7 +12,7 @@ from .registry import (
     unregister_scheme,
 )
 from .best_possible import BestPossibleScheme
-from .coverage_scheme import CoverageSelectionScheme, NoMetadataScheme
+from .coverage_scheme import CoverageSelectionScheme
 from .direct import DirectDeliveryScheme
 from .epidemic import EpidemicScheme
 from .modified_spray import ModifiedSprayScheme
@@ -33,7 +33,6 @@ __all__ = [
     "unregister_scheme",
     "BestPossibleScheme",
     "CoverageSelectionScheme",
-    "NoMetadataScheme",
     "DirectDeliveryScheme",
     "EpidemicScheme",
     "ModifiedSprayScheme",

@@ -40,14 +40,13 @@ from typing import Dict, List, Tuple
 
 from ..core.expected_coverage import NodeProfile, build_node_profile
 from ..core.metadata import Photo
-from ..core.quality import QualityPolicy
 from ..core.selection import StorageSpec, greedy_reallocate, greedy_select
 from ..core.transfer import build_transfer_plan, execute_transfer_plan
 from ..metadata_mgmt.cache import CacheEntry
 from .base import RoutingScheme
 from .registry import register_scheme
 
-__all__ = ["CoverageSelectionScheme", "NoMetadataScheme"]
+__all__ = ["CoverageSelectionScheme"]
 
 
 @register_scheme("our-scheme", use_metadata_cache=True)
@@ -62,7 +61,6 @@ class CoverageSelectionScheme(RoutingScheme):
         self,
         use_metadata_cache: bool = True,
         min_delivery_probability: float = 0.02,
-        quality_policy: "QualityPolicy" = None,
     ) -> None:
         super().__init__()
         if not 0.0 <= min_delivery_probability <= 1.0:
@@ -70,10 +68,6 @@ class CoverageSelectionScheme(RoutingScheme):
                 f"min_delivery_probability must be in [0, 1], got {min_delivery_probability}"
             )
         self.use_metadata_cache = use_metadata_cache
-        #: Optional Section II-C binary prefilter: photos the policy does
-        #: not admit never enter storage (blurred shots are worthless no
-        #: matter their coverage).
-        self.quality_policy = quality_policy
         #: Cold-start floor on PROPHET probabilities during selection.  A
         #: node that has never (transitively) met the command center has
         #: p = 0, which would zero every expected gain and make contacts
@@ -112,8 +106,6 @@ class CoverageSelectionScheme(RoutingScheme):
         metadata inspection that proves them worthless happens at the next
         contact anyway), but they are first in line for eviction.
         """
-        if self.quality_policy is not None and not self.quality_policy.admits(photo, now):
-            return
         if node.storage.fits(photo):
             node.storage.add(photo)
             return
@@ -295,8 +287,3 @@ class CoverageSelectionScheme(RoutingScheme):
 
         if self.use_metadata_cache:
             node.cache.store(center.snapshot_metadata(now))
-
-
-def NoMetadataScheme() -> CoverageSelectionScheme:
-    """The NoMetadata ablation of Section V-B (factory helper)."""
-    return CoverageSelectionScheme(use_metadata_cache=False)

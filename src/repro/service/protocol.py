@@ -11,7 +11,9 @@ Every request carries an ``op`` plus op-specific fields; every response
 carries ``ok`` and echoes the request's ``id`` when one was sent.
 Photos travel as the :func:`photo_to_wire` / :func:`photo_from_wire`
 dict -- metadata ``(l, r, phi, d)`` plus the bookkeeping attributes the
-DTN substrate needs (id, size, timestamp, owner, quality, features).
+DTN substrate needs (id, size, timestamp, owner, features).  A photo's
+unknown keys are ignored, so a journal whose photos carry a field this
+code no longer knows still replays.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ def photo_to_wire(photo: Photo) -> Dict[str, Any]:
         "size_bytes": photo.size_bytes,
         "taken_at": photo.taken_at,
         "owner_id": photo.owner_id,
-        "quality": photo.quality,
         "features": list(photo.features) if photo.features is not None else None,
         "metadata": {
             "x": meta.location.x,
@@ -116,7 +117,6 @@ def photo_from_wire(payload: Dict[str, Any]) -> Photo:
             size_bytes=int(payload["size_bytes"]),
             taken_at=float(payload.get("taken_at", 0.0)),
             owner_id=payload.get("owner_id"),
-            quality=float(payload.get("quality", 1.0)),
             features=tuple(features) if features is not None else None,
             photo_id=int(payload["photo_id"]),
         )

@@ -11,7 +11,7 @@ from repro.core.coverage_index import CoverageIndex, PoICoverageState
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
 from repro.routing.base import individual_coverage
-from repro.routing.coverage_scheme import CoverageSelectionScheme, NoMetadataScheme
+from repro.routing.coverage_scheme import CoverageSelectionScheme
 
 from helpers import MB, make_photo, photo_at_aspect
 
@@ -170,7 +170,7 @@ class TestSimulatorEdgeInputs:
 
 class TestMiscConstruction:
     def test_no_metadata_factory(self):
-        scheme = NoMetadataScheme()
+        scheme = CoverageSelectionScheme(use_metadata_cache=False)
         assert isinstance(scheme, CoverageSelectionScheme)
         assert scheme.name == "no-metadata"
         assert not scheme.use_metadata_cache

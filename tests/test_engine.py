@@ -97,18 +97,6 @@ class TestDeterminism:
         outcomes = ExperimentEngine(workers=4).run(plan)
         assert [o.unit for o in outcomes] == list(plan)
 
-    def test_shim_run_comparison_unchanged(self):
-        """runner.run_comparison delegating to the engine gives the same
-        answer as driving the engine directly."""
-        from repro.experiments.runner import run_comparison
-
-        spec = small_spec()
-        via_shim = run_comparison(spec, SCHEMES, num_runs=1)
-        direct = ExperimentEngine(workers=1).run_comparison(spec, SCHEMES, num_runs=1)
-        assert {n: averaged_to_dict(r) for n, r in via_shim.items()} == {
-            n: averaged_to_dict(r) for n, r in direct.items()
-        }
-
 
 # ----------------------------------------------------------------------
 # Result cache

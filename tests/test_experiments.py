@@ -15,11 +15,8 @@ from repro.experiments.config import (
     TableISettings,
 )
 from repro.experiments.report import format_comparison, format_series, format_sweep, format_table
-from repro.experiments.runner import (
-    PAPER_SCHEMES,
-    average_results,
-    run_comparison,
-)
+from repro.experiments.engine import default_engine
+from repro.experiments.runner import PAPER_SCHEMES, average_results
 from repro.routing import create_scheme, scheme_names
 
 
@@ -127,7 +124,9 @@ class TestRunner:
 
     def test_run_comparison_small(self):
         spec = ScenarioSpec(scale=0.05, seed=0, sample_interval_hours=20.0)
-        results = run_comparison(spec, ("our-scheme", "spray-and-wait"), num_runs=2)
+        results = default_engine().run_comparison(
+            spec, ("our-scheme", "spray-and-wait"), num_runs=2
+        )
         assert set(results) == {"our-scheme", "spray-and-wait"}
         for result in results.values():
             assert result.runs == 2
@@ -136,7 +135,9 @@ class TestRunner:
 
     def test_run_comparison_rejects_zero_runs(self):
         with pytest.raises(ValueError):
-            run_comparison(ScenarioSpec(scale=0.05), ("our-scheme",), num_runs=0)
+            default_engine().run_comparison(
+                ScenarioSpec(scale=0.05), ("our-scheme",), num_runs=0
+            )
 
 
 class TestAveraging:

@@ -13,7 +13,8 @@ import pytest
 from repro.core.geometry import Point
 from repro.experiments import fig3_demo, fig5, fig6
 from repro.experiments.config import ScenarioSpec
-from repro.experiments.runner import run_comparison, run_scenario
+from repro.experiments.engine import default_engine
+from repro.experiments.runner import run_scenario
 
 SCALE = 0.12
 SEED = 0
@@ -23,7 +24,7 @@ SEED = 0
 def fig5_results():
     """One shared small-scale five-scheme comparison."""
     spec = fig5.spec(scale=SCALE, seed=SEED)
-    return run_comparison(
+    return default_engine().run_comparison(
         spec,
         ("best-possible", "our-scheme", "no-metadata", "modified-spray", "spray-and-wait"),
         num_runs=2,
@@ -78,13 +79,13 @@ class TestSchemeOrdering:
 class TestContactDurationRobustness:
     def test_mild_cap_costs_little_harsh_cap_costs_more(self):
         """Fig. 6 shape: 2-minute contacts barely hurt; 30 s hurts more."""
-        uncapped = run_comparison(
+        uncapped = default_engine().run_comparison(
             fig6.spec(None, scale=SCALE, seed=SEED), ("our-scheme",), num_runs=2
         )["our-scheme"]
-        capped_120 = run_comparison(
+        capped_120 = default_engine().run_comparison(
             fig6.spec(120.0, scale=SCALE, seed=SEED), ("our-scheme",), num_runs=2
         )["our-scheme"]
-        capped_30 = run_comparison(
+        capped_30 = default_engine().run_comparison(
             fig6.spec(30.0, scale=SCALE, seed=SEED), ("our-scheme",), num_runs=2
         )["our-scheme"]
         assert capped_120.point_coverage >= capped_30.point_coverage - 1e-9
@@ -95,10 +96,10 @@ class TestContactDurationRobustness:
 
 class TestStorageEffect:
     def test_more_storage_never_hurts_ours(self):
-        small = run_comparison(
+        small = default_engine().run_comparison(
             ScenarioSpec(scale=SCALE, storage_gb=0.05, seed=SEED), ("our-scheme",), num_runs=2
         )["our-scheme"]
-        large = run_comparison(
+        large = default_engine().run_comparison(
             ScenarioSpec(scale=SCALE, storage_gb=0.6, seed=SEED), ("our-scheme",), num_runs=2
         )["our-scheme"]
         assert large.point_coverage >= small.point_coverage - 0.05
@@ -123,11 +124,12 @@ class TestPrototypeDemo:
         assert outcomes["photonet"].delivered_photos <= 12
 
     def test_demo_photo_ids_do_not_depend_on_earlier_photos(self):
-        """PhotoNet hashes photo ids, so the demo must not draw them from
-        the process-wide counter."""
-        first = fig3_demo.build_demo_photos(Point(0.0, 0.0), 0.0)
-        second = fig3_demo.build_demo_photos(Point(0.0, 0.0), 0.0)
-        assert [a.photo.photo_id for a in first] == [a.photo.photo_id for a in second]
+        """PhotoNet hashes photo ids, so neither demo workload may draw
+        them from the process-wide counter."""
+        for build in (fig3_demo.build_demo_photos, fig3_demo.build_demo_photos_with_sensors):
+            first = build(Point(0.0, 0.0), 0.0)
+            second = build(Point(0.0, 0.0), 0.0)
+            assert [a.photo.photo_id for a in first] == [a.photo.photo_id for a in second]
 
     def test_demo_report_renders(self):
         outcomes = fig3_demo.run(seed=1)

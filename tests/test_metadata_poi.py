@@ -69,10 +69,6 @@ class TestPhoto:
         with pytest.raises(ValueError):
             Photo(metadata=make_photo(0, 0, 0).metadata, size_bytes=0)
 
-    def test_rejects_bad_quality(self):
-        with pytest.raises(ValueError):
-            Photo(metadata=make_photo(0, 0, 0).metadata, quality=1.5)
-
     def test_location_shortcut(self):
         photo = make_photo(3.0, 4.0, 0)
         assert photo.location == Point(3.0, 4.0)

@@ -14,7 +14,7 @@ from repro.core.poi import PoI, PoIList
 from repro.dtn.simulator import Simulation, SimulationConfig
 from repro.routing import create_scheme
 from repro.routing.best_possible import BestPossibleScheme
-from repro.routing.coverage_scheme import CoverageSelectionScheme, NoMetadataScheme
+from repro.routing.coverage_scheme import CoverageSelectionScheme
 from repro.routing.modified_spray import ModifiedSprayScheme
 from repro.routing.photonet import PhotoNetScheme, photo_features
 from repro.routing.spray_and_wait import SprayAndWaitScheme
@@ -133,7 +133,7 @@ class TestCoverageScheme:
     def test_no_metadata_keeps_cache_empty(self):
         photo = photo_at_aspect(Point(0.0, 0.0), aspect_deg=0.0)
         sim = build_sim(
-            NoMetadataScheme(),
+            CoverageSelectionScheme(use_metadata_cache=False),
             contacts=[(100.0, 1, 2, 600.0), (200.0, 0, 2, 600.0)],
             arrivals=[arrival(0.0, 1, photo)],
         )
@@ -473,7 +473,7 @@ class TestContactStateOwnership:
         assert gateway.estimator.peers() == (0, 1)
 
     def test_no_metadata_fills_prophet_only(self):
-        sim = self._run(NoMetadataScheme())
+        sim = self._run(CoverageSelectionScheme(use_metadata_cache=False))
         assert sim.nodes[2].delivery_probability(300.0) > 0.0
         for node in sim.nodes.values():
             assert node.prophet.known_destinations() != ()

@@ -44,6 +44,17 @@ def make_photo(x=10.0, y=10.0, taken_at=0.0, owner_id=1):
     )
 
 
+#: The journal of ``test_journal_tail_replays_through_the_seam``'s two
+#: requests as an older release wrote it: its photos carried a
+#: ``"quality"`` key that the codec no longer knows.
+OLDER_RELEASE_JOURNAL = (
+    b'{"op":"ingest","user":1,"time":0.0,"photo":{"photo_id":0,"size_bytes":4194304,'
+    b'"taken_at":0.0,"owner_id":1,"quality":1.0,"features":null,"metadata":{"x":10.0,'
+    b'"y":10.0,"coverage_range":80.0,"field_of_view":1.0,"orientation":-0.5}},"seq":1}\n'
+    b'{"op":"contact","a":1,"b":0,"time":10.0,"duration":600.0,"seq":2}\n'
+)
+
+
 @pytest.fixture()
 def pois():
     return PoIList.from_points([Point(54.0, 34.0), Point(400.0, 400.0)])
@@ -268,13 +279,16 @@ class TestRecovery:
         before = ps.coverage()
         del ps  # abrupt death: no close, no flush beyond the fsync policy
 
-        recovered = PersistentSession(session_factory(pois), config, "champion")
-        assert recovered.recovery.replayed_records == 2
-        after = recovered.coverage()
-        assert after.point_coverage == before.point_coverage
-        assert after.aspect_coverage_deg == before.aspect_coverage_deg
-        assert after.delivered_photos == before.delivered_photos
-        recovered.close()
+        older_dir = tmp_path / "older"
+        older_dir.mkdir()
+        (older_dir / "champion.wal").write_bytes(OLDER_RELEASE_JOURNAL)
+        older = PersistenceConfig(wal_dir=older_dir, fsync="always")
+
+        for journal in (config, older):
+            recovered = PersistentSession(session_factory(pois), journal, "champion")
+            assert recovered.recovery.replayed_records == 2
+            assert recovered.coverage() == before
+            recovered.close()
 
     def test_torn_tail_is_truncated_and_appends_continue(self, tmp_path, pois):
         config = PersistenceConfig(wal_dir=tmp_path, fsync="always")

@@ -55,7 +55,6 @@ class TestPhotoWireCodec:
             size_bytes=4 * 1024 * 1024,
             taken_at=3600.5,
             owner_id=42,
-            quality=0.875,
             features=(0.1, 0.2, 0.3),
         )
         clone = photo_from_wire(photo_to_wire(photo))
@@ -64,7 +63,6 @@ class TestPhotoWireCodec:
         assert clone.size_bytes == photo.size_bytes
         assert clone.taken_at == photo.taken_at
         assert clone.owner_id == photo.owner_id
-        assert clone.quality == photo.quality
         assert clone.features == photo.features
 
     def test_round_trip_through_json_text(self):
