@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from operator import attrgetter
+from typing import Any, Iterable, Sequence
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -63,30 +64,48 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects."""
+    """A deterministic min-heap of :class:`Event` objects, plus an arrival lane.
 
-    def __init__(self) -> None:
+    Photo arrivals are known before the run starts, so they are not pushed:
+    the queue takes them at construction as a *lane*, stably sorted by time,
+    and :meth:`pop` builds each ``PHOTO_CREATED`` event when its turn comes.
+    The lane head is served while its time is ``<=`` the heap top.  That is
+    the heap's own ``(time, kind, sequence)`` order, because arrivals have
+    the lowest kind and come before every later push.  Only contacts,
+    crashes, restarts, samples and the end -- a few thousand entries at
+    Table-I scale, not some eighty thousand -- live in the heap.
+    """
+
+    # A class-level default: a queue pickled before the lane existed (a
+    # service snapshot) unpickles with an empty lane.
+    _lane: Sequence[Any] = ()
+
+    def __init__(self, arrivals: Iterable[Any] = ()) -> None:
+        """*arrivals* have ``time``, ``owner_id`` and ``photo`` attributes
+        (:class:`~repro.workload.photos.PhotoArrival`), in any order; equal
+        times keep the given order."""
         self._heap: list = []
         self._sequence = itertools.count()
+        lane = sorted(arrivals, key=attrgetter("time"))
+        if lane and lane[0].time < 0.0:
+            raise ValueError(f"event time must be non-negative, got {lane[0].time}")
+        lane.reverse()  # the next arrival is popped off the end
+        self._lane = lane
 
     def push(self, event: Event) -> None:
         heapq.heappush(self._heap, (event.time, event.kind, next(self._sequence), event))
 
     def pop(self) -> Event:
-        if not self._heap:
+        lane, heap = self._lane, self._heap
+        if lane and (not heap or lane[-1].time <= heap[0][0]):
+            arrival = lane.pop()
+            return Event(arrival.time, EventKind.PHOTO_CREATED, (arrival.owner_id, arrival.photo))
+        if not heap:
             raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)[3]
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
+        return heapq.heappop(heap)[3]
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def drain_until(self, deadline: float) -> Iterator[Event]:
-        """Pop events with ``time <= deadline`` in order."""
-        while self._heap and self._heap[0][0] <= deadline:
-            yield self.pop()
+        return bool(self._heap) or bool(self._lane)

@@ -165,7 +165,8 @@ class Simulation:
         }
 
         self._cc_coverage = PoICoverageState(self.index)
-        self._queue = EventQueue()
+        # Arrivals ride the queue's time-sorted lane, not the heap.
+        self._queue = EventQueue(photo_arrivals)
         self._end_time = end_time_s if end_time_s is not None else max(
             trace.end_time, max((a.time for a in photo_arrivals), default=0.0)
         )
@@ -200,10 +201,6 @@ class Simulation:
                 self._queue.push(
                     Event(crash.time, EventKind.NODE_CRASH, (crash.node_id, crash.restart_time))
                 )
-        for arrival in photo_arrivals:
-            self._queue.push(
-                Event(arrival.time, EventKind.PHOTO_CREATED, (arrival.owner_id, arrival.photo))
-            )
         sample_time = config.sample_interval_s
         while sample_time < self._end_time:
             self._queue.push(Event(sample_time, EventKind.SAMPLE))

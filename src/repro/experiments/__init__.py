@@ -25,7 +25,6 @@ from .engine import (
     default_engine,
 )
 from .asciiplot import histogram, line_chart, sparkline
-from .persistence import load_comparison, save_comparison
 from .config import TRACE_CAMBRIDGE, TRACE_MIT, Scenario, ScenarioSpec, TableISettings
 from .report import format_comparison, format_series, format_sweep, format_table
 from .runner import (
@@ -54,8 +53,6 @@ __all__ = [
     "histogram",
     "line_chart",
     "sparkline",
-    "load_comparison",
-    "save_comparison",
     "fig3_demo",
     "fig5",
     "fig6",

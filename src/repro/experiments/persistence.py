@@ -1,16 +1,14 @@
-"""JSON persistence for experiment results.
+"""JSON-serializable forms of experiment results.
 
-The harness's text tables are for humans; these converters emit/load the
-same results as JSON so downstream tooling (plotting notebooks, regression
-dashboards) can consume them.  Round-trips are lossless for the fields the
+The engine's result cache and its worker processes carry each run's
+:class:`SimulationResult` through :func:`result_to_dict` /
+:func:`result_from_dict`.  Round-trips are lossless for the fields the
 figures use.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Dict, TextIO, Union
+from typing import Any, Dict
 
 from ..core.coverage import CoverageValue
 from ..dtn.faults import FaultCounters
@@ -22,12 +20,7 @@ __all__ = [
     "result_from_dict",
     "averaged_to_dict",
     "averaged_from_dict",
-    "save_comparison",
-    "load_comparison",
 ]
-
-PathOrFile = Union[str, Path, TextIO]
-
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     """A :class:`SimulationResult` as a JSON-serializable dict."""
@@ -107,30 +100,3 @@ def averaged_from_dict(payload: Dict[str, Any]) -> AveragedResult:
         aspect_series_deg=list(payload.get("aspect_series_deg", [])),
         delivered_series=list(payload.get("delivered_series", [])),
     )
-
-
-def save_comparison(
-    results: Dict[str, AveragedResult],
-    destination: PathOrFile,
-    metadata: Dict[str, Any] = None,
-) -> None:
-    """Persist a scheme->result comparison (one figure condition) as JSON."""
-    payload = {
-        "metadata": metadata or {},
-        "results": {name: averaged_to_dict(result) for name, result in results.items()},
-    }
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    else:
-        json.dump(payload, destination, indent=2)
-
-
-def load_comparison(source: PathOrFile) -> Dict[str, AveragedResult]:
-    """Load a comparison saved by :func:`save_comparison`."""
-    if isinstance(source, (str, Path)):
-        payload = json.loads(Path(source).read_text(encoding="utf-8"))
-    else:
-        payload = json.load(source)
-    return {
-        name: averaged_from_dict(item) for name, item in payload["results"].items()
-    }

@@ -4,10 +4,10 @@
 connect-with-retry so it can race a server that is still booting);
 :func:`replay_scenario` feeds a built
 :class:`~repro.experiments.config.Scenario` through a live server in
-**simulator event order** -- :func:`iter_scenario_events` reconstructs the
-exact :class:`~repro.dtn.events.EventQueue` ordering ``Simulation`` would
-use (contacts pushed in trace order with the duration cap applied, then
-photo arrivals; ties break by event-kind priority then push sequence), so
+**simulator event order** -- :func:`iter_scenario_events` builds the
+:class:`~repro.dtn.events.EventQueue` ``Simulation`` would use (photo
+arrivals as its lane, contacts pushed in trace order with the duration
+cap applied; ties break by event-kind priority then push sequence), so
 the server's world receives the same event stream ``Simulation.run()``
 processes and its selections are byte-identical to the simulator's.
 """
@@ -202,14 +202,14 @@ def http_get(
 def iter_scenario_events(scenario) -> Iterator[Event]:
     """The scenario's photo/contact events in simulator order.
 
-    Reconstructs the push order of ``Simulation.__init__`` -- contacts
-    (duration cap applied) before arrivals -- through a real
-    :class:`EventQueue`, so the heap's ``(time, kind, sequence)``
-    tie-breaking matches the simulator's exactly.  Crash/sample/end
-    events are the simulator's own; a live server has no trace-driven
-    faults or sampling, so replay covers fault-free scenarios.
+    Builds the queue ``Simulation.__init__`` builds -- the arrivals as an
+    :class:`EventQueue` lane, then the contacts (duration cap applied)
+    pushed in trace order -- so the ``(time, kind, sequence)`` order
+    matches the simulator's exactly.  Crash/sample/end events are the
+    simulator's own; a live server has no trace-driven faults or
+    sampling, so replay covers fault-free scenarios.
     """
-    queue = EventQueue()
+    queue = EventQueue(scenario.photo_arrivals)
     cap = scenario.config.contact_duration_cap_s
     for contact in scenario.trace:
         duration = contact.duration
@@ -221,10 +221,6 @@ def iter_scenario_events(scenario) -> Iterator[Event]:
                 EventKind.CONTACT,
                 (contact.node_a, contact.node_b, duration),
             )
-        )
-    for arrival in scenario.photo_arrivals:
-        queue.push(
-            Event(arrival.time, EventKind.PHOTO_CREATED, (arrival.owner_id, arrival.photo))
         )
     while queue:
         yield queue.pop()

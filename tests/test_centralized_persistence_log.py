@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 
@@ -18,10 +17,8 @@ from repro.dtn.tracelog import SimulationLog, attach_logging
 from repro.experiments.persistence import (
     averaged_from_dict,
     averaged_to_dict,
-    load_comparison,
     result_from_dict,
     result_to_dict,
-    save_comparison,
 )
 from repro.experiments.runner import AveragedResult
 from repro.routing.coverage_scheme import CoverageSelectionScheme
@@ -138,26 +135,6 @@ class TestPersistence:
         )
         restored = averaged_from_dict(averaged_to_dict(original))
         assert restored == original
-
-    def test_save_load_comparison(self, tmp_path):
-        results = {
-            "a": AveragedResult(scheme="a", runs=1, point_coverage=0.1,
-                                aspect_coverage_deg=1.0, delivered_photos=2.0),
-        }
-        path = tmp_path / "comparison.json"
-        save_comparison(results, path, metadata={"scale": 0.2})
-        loaded = load_comparison(path)
-        assert loaded["a"].point_coverage == 0.1
-
-    def test_save_load_stream(self):
-        results = {
-            "a": AveragedResult(scheme="a", runs=1, point_coverage=0.1,
-                                aspect_coverage_deg=1.0, delivered_photos=2.0),
-        }
-        buffer = io.StringIO()
-        save_comparison(results, buffer)
-        buffer.seek(0)
-        assert load_comparison(buffer)["a"].delivered_photos == 2.0
 
 
 class TestSimulationLog:

@@ -2,14 +2,42 @@
 
 from __future__ import annotations
 
+import heapq
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.metadata import Photo
 from repro.dtn.events import Event, EventKind, EventQueue
 from repro.dtn.node import COMMAND_CENTER_ID, CommandCenter, DTNNode
 from repro.dtn.storage import NodeStorage, StorageFullError
+from repro.workload.photos import PhotoArrival
 
 from helpers import MB, make_photo
+
+ALL_KINDS = (
+    EventKind.PHOTO_CREATED,
+    EventKind.NODE_RESTART,
+    EventKind.NODE_CRASH,
+    EventKind.CONTACT,
+    EventKind.SAMPLE,
+    EventKind.END,
+)
+
+#: ``pickle.dumps(queue, protocol=4)`` of a queue from before the arrival
+#: lane existed (a heap and a sequence counter only), holding a contact at
+#: 5 s and the end at 9 s -- what a service snapshot of that code holds.
+PRE_LANE_QUEUE_PICKLE = (
+    b"\x80\x04\x95\xe1\x00\x00\x00\x00\x00\x00\x00\x8c\x10repro.dtn.events\x94\x8c\nEventQueue"
+    b"\x94\x93\x94)\x81\x94}\x94(\x8c\x05_heap\x94]\x94((G@\x14\x00\x00\x00\x00\x00\x00K\x03K"
+    b"\x00h\x00\x8c\x05Event\x94\x93\x94)\x81\x94}\x94(\x8c\x04time\x94G@\x14\x00\x00\x00\x00"
+    b"\x00\x00\x8c\x04kind\x94K\x03\x8c\x07payload\x94K\x01K\x02G@N\x00\x00\x00\x00\x00\x00\x87"
+    b"\x94ubt\x94(G@\"\x00\x00\x00\x00\x00\x00K\x05K\x01h\x08)\x81\x94}\x94(h\x0bG@\"\x00\x00"
+    b"\x00\x00\x00\x00h\x0cK\x05h\rNubt\x94e\x8c\t_sequence\x94\x8c\titertools\x94\x8c\x05count"
+    b"\x94\x93\x94K\x02\x85\x94R\x94ub."
+)
 
 
 class TestEventQueue:
@@ -42,29 +70,101 @@ class TestEventQueue:
         with pytest.raises(IndexError):
             EventQueue().pop()
 
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(Event(2.0, EventKind.END))
-        assert queue.peek_time() == 2.0
-
-    def test_drain_until(self):
-        queue = EventQueue()
-        for t in (1.0, 2.0, 3.0):
-            queue.push(Event(t, EventKind.CONTACT))
-        drained = list(queue.drain_until(2.0))
-        assert [e.time for e in drained] == [1.0, 2.0]
-        assert len(queue) == 1
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             Event(-1.0, EventKind.CONTACT)
+
+    def test_negative_arrival_time_rejected(self):
+        with pytest.raises(ValueError):
+            EventQueue([PhotoArrival(3.0, 1, "a"), PhotoArrival(-1.0, 1, "b")])
+
+    def test_arrival_lane_pops_as_photo_created_events(self):
+        queue = EventQueue([PhotoArrival(2.0, 7, "late"), PhotoArrival(1.0, 8, "early")])
+        queue.push(Event(1.0, EventKind.CONTACT, "contact"))
+        assert len(queue) == 3
+        events = [queue.pop() for _ in range(3)]
+        assert [(e.time, e.kind, e.payload) for e in events] == [
+            (1.0, EventKind.PHOTO_CREATED, (8, "early")),
+            (1.0, EventKind.CONTACT, "contact"),
+            (2.0, EventKind.PHOTO_CREATED, (7, "late")),
+        ]
+        assert not queue
+
+    def test_lane_does_not_consume_the_callers_list(self):
+        arrivals = [PhotoArrival(1.0, 1, "a")]
+        queue = EventQueue(arrivals)
+        queue.pop()
+        assert arrivals == [PhotoArrival(1.0, 1, "a")]
+
+    def test_queue_pickled_before_the_lane_loads(self):
+        queue = pickle.loads(PRE_LANE_QUEUE_PICKLE)
+        assert len(queue) == 2
+        queue.push(Event(5.0, EventKind.SAMPLE, "sample"))
+        events = [queue.pop() for _ in range(3)]
+        assert [(e.time, e.kind) for e in events] == [
+            (5.0, EventKind.CONTACT), (5.0, EventKind.SAMPLE), (9.0, EventKind.END),
+        ]
+        assert events[0].payload == (1, 2, 60.0)
+        assert not queue
+
+    def test_queue_with_a_lane_round_trips_through_pickle(self):
+        queue = EventQueue([PhotoArrival(1.0, 1, "a"), PhotoArrival(4.0, 2, "b")])
+        queue.push(Event(2.0, EventKind.CONTACT, "c"))
+        queue.pop()
+        restored = pickle.loads(pickle.dumps(queue))
+        assert [restored.pop().payload for _ in range(2)] == ["c", (2, "b")]
 
     def test_bool_and_len(self):
         queue = EventQueue()
         assert not queue
         queue.push(Event(0.0, EventKind.END))
         assert queue and len(queue) == 1
+
+
+# Few distinct times, so equal-time ties between arrivals and every other
+# kind are common.
+_times = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+_steps = st.lists(
+    st.one_of(st.just(None), st.tuples(_times, st.sampled_from(ALL_KINDS))), max_size=40
+)
+
+
+@given(arrival_times=st.lists(_times, max_size=25), steps=_steps)
+def test_arrival_lane_pops_in_single_heap_order(arrival_times, steps):
+    """``EventQueue(arrivals)`` plus interleaved pushes and pops gives the
+    order of one ``(time, kind, sequence)`` heap into which the arrivals
+    were pushed first, in the given (unsorted) order.  A step is a push of
+    ``(time, kind)`` or, as ``None``, a pop."""
+    arrivals = [PhotoArrival(t, i, f"arrival-{i}") for i, t in enumerate(arrival_times)]
+    queue = EventQueue(arrivals)
+    reference = []
+    for a in arrivals:
+        payload = (a.owner_id, a.photo)
+        heapq.heappush(reference, (a.time, EventKind.PHOTO_CREATED, len(reference), payload))
+    sequence = len(reference)
+
+    def pop_both():
+        if not reference:
+            with pytest.raises(IndexError):
+                queue.pop()
+            return
+        time, kind, _, payload = heapq.heappop(reference)
+        event = queue.pop()
+        assert (event.time, event.kind, event.payload) == (time, kind, payload)
+
+    for step in steps:
+        if step is None:
+            pop_both()
+        else:
+            time, kind = step
+            payload = f"push-{sequence}"
+            queue.push(Event(time, kind, payload))
+            heapq.heappush(reference, (time, kind, sequence, payload))
+            sequence += 1
+        assert len(queue) == len(reference)
+    while reference:
+        pop_both()
+    assert not queue
 
 
 class TestNodeStorage:

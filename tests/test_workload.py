@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.coverage_index import CoverageIndex
 from repro.core.geometry import Point
+from repro.core.metadata import PhotoMetadata
+from repro.workload import photos as photos_module
 from repro.workload.photos import PhotoGenerator, PhotoGeneratorSpec, generate_photo_schedule
 from repro.workload.pois import clustered_pois, random_pois, ring_viewpoints
 
@@ -122,6 +125,77 @@ class TestPhotoSchedule:
         a = generate_photo_schedule(g1, [1, 2], 20.0, 3600.0, seed=5)
         b = generate_photo_schedule(g2, [1, 2], 20.0, 3600.0, seed=5)
         assert [(x.time, x.owner_id) for x in a] == [(y.time, y.owner_id) for y in b]
+
+
+def scalar_metadata(rng, spec, pois):
+    """Oracle: one photo's metadata from scalar draws, five per uniform
+    photo -- the per-photo generator the bulk draw replaced."""
+
+    def fov_and_range():
+        fov = math.radians(rng.uniform(*spec.fov_range_deg))
+        scale = rng.uniform(*spec.range_scale_m)
+        return fov, scale / math.tan(fov / 2.0)
+
+    if spec.targeted_fraction > 0.0 and rng.random() < spec.targeted_fraction:
+        fov, coverage_range = fov_and_range()
+        poi = pois[int(rng.integers(0, len(pois)))]
+        aspect = rng.uniform(0.0, 2.0 * math.pi)
+        distance = rng.uniform(0.1, 0.9) * coverage_range
+        location = Point(
+            poi.location.x + distance * math.cos(aspect),
+            poi.location.y - distance * math.sin(aspect),
+        )
+        jitter = rng.uniform(-fov / 4.0, fov / 4.0)
+        return PhotoMetadata(location, coverage_range, fov, location.bearing_to(poi.location) + jitter)
+    fov, coverage_range = fov_and_range()
+    location = Point(rng.uniform(0.0, spec.region_width_m), rng.uniform(0.0, spec.region_height_m))
+    return PhotoMetadata(location, coverage_range, fov, rng.uniform(0.0, 2.0 * math.pi))
+
+
+def scalar_schedule(spec, pois, generator_seed, participants, photos_per_hour, duration_s, seed):
+    """Oracle: ``(time, owner, metadata)`` with each photo drawn at its arrival."""
+    schedule_rng = np.random.default_rng(seed)
+    metadata_rng = np.random.default_rng(generator_seed)
+    rows = []
+    time = schedule_rng.exponential(3600.0 / photos_per_hour)
+    while time < duration_s:
+        owner = participants[int(schedule_rng.integers(0, len(participants)))]
+        rows.append((time, owner, scalar_metadata(metadata_rng, spec, pois)))
+        time += schedule_rng.exponential(3600.0 / photos_per_hour)
+    return rows
+
+
+class TestBulkDrawsMatchScalarOracle:
+    """The bulk metadata draw is bitwise the scalar per-photo stream."""
+
+    @pytest.mark.parametrize("block", [3, photos_module._DRAW_BLOCK])
+    @pytest.mark.parametrize("targeted_fraction", [0.0, 0.4])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_schedule(self, monkeypatch, seed, targeted_fraction, block):
+        monkeypatch.setattr(photos_module, "_DRAW_BLOCK", block)
+        pois = random_pois(12, seed=seed)
+        spec = PhotoGeneratorSpec(targeted_fraction=targeted_fraction)
+        participants = [3, 5, 8, 13]
+        arrivals = generate_photo_schedule(
+            PhotoGenerator(spec, pois=pois, seed=seed + 100), participants,
+            photos_per_hour=40.0, duration_s=5 * 3600.0, seed=seed,
+        )
+        expected = scalar_schedule(spec, pois, seed + 100, participants, 40.0, 5 * 3600.0, seed)
+        assert len(arrivals) == len(expected) > 2 * 3
+        for arrival, (time, owner, metadata) in zip(arrivals, expected):
+            assert (arrival.time, arrival.owner_id) == (time, owner)
+            assert (arrival.photo.taken_at, arrival.photo.owner_id) == (time, owner)
+            assert arrival.photo.metadata == metadata
+
+    @pytest.mark.parametrize("targeted_fraction", [0.0, 0.4])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_next_photo(self, seed, targeted_fraction):
+        pois = random_pois(12, seed=seed)
+        spec = PhotoGeneratorSpec(targeted_fraction=targeted_fraction)
+        generator = PhotoGenerator(spec, pois=pois, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            assert generator.next_photo().metadata == scalar_metadata(rng, spec, pois)
 
 
 class TestPoIGenerators:
