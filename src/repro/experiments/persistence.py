@@ -13,14 +13,9 @@ from typing import Any, Dict
 from ..core.coverage import CoverageValue
 from ..dtn.faults import FaultCounters
 from ..dtn.simulator import SampleRecord, SimulationResult
-from .runner import AveragedResult
 
-__all__ = [
-    "result_to_dict",
-    "result_from_dict",
-    "averaged_to_dict",
-    "averaged_from_dict",
-]
+__all__ = ["result_to_dict", "result_from_dict"]
+
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     """A :class:`SimulationResult` as a JSON-serializable dict."""
@@ -72,31 +67,3 @@ def result_from_dict(payload: Dict[str, Any]) -> SimulationResult:
             )
         )
     return result
-
-
-def averaged_to_dict(result: AveragedResult) -> Dict[str, Any]:
-    return {
-        "scheme": result.scheme,
-        "runs": result.runs,
-        "point_coverage": result.point_coverage,
-        "aspect_coverage_deg": result.aspect_coverage_deg,
-        "delivered_photos": result.delivered_photos,
-        "sample_times": list(result.sample_times),
-        "point_series": list(result.point_series),
-        "aspect_series_deg": list(result.aspect_series_deg),
-        "delivered_series": list(result.delivered_series),
-    }
-
-
-def averaged_from_dict(payload: Dict[str, Any]) -> AveragedResult:
-    return AveragedResult(
-        scheme=payload["scheme"],
-        runs=payload["runs"],
-        point_coverage=payload["point_coverage"],
-        aspect_coverage_deg=payload["aspect_coverage_deg"],
-        delivered_photos=payload["delivered_photos"],
-        sample_times=list(payload.get("sample_times", [])),
-        point_series=list(payload.get("point_series", [])),
-        aspect_series_deg=list(payload.get("aspect_series_deg", [])),
-        delivered_series=list(payload.get("delivered_series", [])),
-    )

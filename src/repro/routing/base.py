@@ -18,6 +18,7 @@ from ..core.coverage import CoverageValue
 from ..core.metadata import Photo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dtn.node import CommandCenter, DTNNode
     from ..dtn.simulator import Simulation
 
 __all__ = ["RoutingScheme", "individual_coverage"]

@@ -12,9 +12,14 @@ possible outcome.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..core.metadata import Photo
 from .base import RoutingScheme
 from .registry import register_scheme
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dtn.node import CommandCenter, DTNNode
 
 __all__ = ["BestPossibleScheme"]
 

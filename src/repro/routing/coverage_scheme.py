@@ -36,7 +36,7 @@ event already built.  The eviction index is the storage's own
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..core.expected_coverage import NodeProfile, build_node_profile
 from ..core.metadata import Photo
@@ -45,6 +45,9 @@ from ..core.transfer import build_transfer_plan, execute_transfer_plan
 from ..metadata_mgmt.cache import CacheEntry
 from .base import RoutingScheme
 from .registry import register_scheme
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dtn.node import CommandCenter, DTNNode
 
 __all__ = ["CoverageSelectionScheme"]
 
@@ -92,7 +95,7 @@ class CoverageSelectionScheme(RoutingScheme):
         self.__dict__.update(state)
         self._reset_derived_state()
 
-    def _selection_probability(self, node: "DTNNode", now: float) -> float:
+    def _selection_probability(self, node: DTNNode, now: float) -> float:
         return max(node.delivery_probability(now), self.min_delivery_probability)
 
     # ------------------------------------------------------------------
@@ -158,32 +161,23 @@ class CoverageSelectionScheme(RoutingScheme):
             capacity_bytes=node_b.storage.capacity_bytes,
             delivery_probability=self._selection_probability(node_b, now),
         )
-        holdings = {
-            node_a.node_id: node_a.storage.photos(),
-            node_b.node_id: node_b.storage.photos(),
-        }
         result = greedy_reallocate(
             self.sim.index,
-            holdings[node_a.node_id],
-            holdings[node_b.node_id],
+            node_a.storage.photos(),
+            node_b.storage.photos(),
             spec_a,
             spec_b,
             background,
         )
-        plan = build_transfer_plan(result, holdings)
-        outcome = execute_transfer_plan(
+        storages = {node_a.node_id: node_a.storage, node_b.node_id: node_b.storage}
+        plan = build_transfer_plan(result, storages)
+        execute_transfer_plan(
             plan,
             result,
-            holdings,
-            capacities={
-                node_a.node_id: node_a.storage.capacity_bytes,
-                node_b.node_id: node_b.storage.capacity_bytes,
-            },
+            storages,
+            self.sim.transfer_survives if self.sim.faults else None,
             byte_budget=self.sim.byte_budget(duration),
-            transfer_survives=self.sim.transfer_survives if self.sim.faults else None,
         )
-        node_a.storage.replace_all(outcome.final_collections[node_a.node_id])
-        node_b.storage.replace_all(outcome.final_collections[node_b.node_id])
 
         if self.use_metadata_cache:
             # Post-transfer snapshots so each peer leaves with fresh state.

@@ -14,13 +14,16 @@ scheme uses too.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..core.coverage import CoverageValue
 from ..core.metadata import Photo
 from .base import individual_coverage
 from .registry import register_scheme
 from .spray_and_wait import SprayAndWaitScheme
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dtn.node import DTNNode
 
 __all__ = ["ModifiedSprayScheme"]
 

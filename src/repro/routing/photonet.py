@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.metadata import Photo
 from .base import RoutingScheme
 from .registry import register_scheme
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dtn.node import CommandCenter, DTNNode
 
 __all__ = ["PhotoNetScheme", "photo_features"]
 

@@ -14,11 +14,14 @@ contact proceed in storage (FIFO) order under the byte budget.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from ..core.metadata import Photo
 from .base import RoutingScheme
 from .registry import register_scheme
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dtn.node import CommandCenter, DTNNode
 
 __all__ = ["SprayAndWaitScheme"]
 

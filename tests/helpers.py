@@ -16,6 +16,7 @@ from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoI, PoIList
 from repro.dtn.faults import FaultPlan
+from repro.dtn.storage import NodeStorage
 
 MB = 1024 * 1024
 
@@ -67,6 +68,21 @@ def photo_at_aspect(
         ),
         size_bytes=size_bytes,
     )
+
+
+def storages(holdings, capacities=None):
+    """Node id -> a :class:`NodeStorage` holding that node's photos, in order.
+
+    *capacities* maps node ids to byte capacities; a node it leaves out
+    gets unlimited storage.
+    """
+    stores = {}
+    for node_id, photos in holdings.items():
+        store = NodeStorage((capacities or {}).get(node_id))
+        for photo in photos:
+            store.add(photo)
+        stores[node_id] = store
+    return stores
 
 
 @pytest.fixture

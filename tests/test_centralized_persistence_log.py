@@ -14,13 +14,7 @@ from repro.core.geometry import Point
 from repro.core.poi import PoIList
 from repro.dtn.simulator import SampleRecord, Simulation, SimulationConfig, SimulationResult
 from repro.dtn.tracelog import SimulationLog, attach_logging
-from repro.experiments.persistence import (
-    averaged_from_dict,
-    averaged_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
-from repro.experiments.runner import AveragedResult
+from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.routing.coverage_scheme import CoverageSelectionScheme
 from repro.traces.model import ContactRecord, ContactTrace
 from repro.workload.photos import PhotoArrival
@@ -126,15 +120,6 @@ class TestPersistence:
         assert restored.final_coverage == original.final_coverage
         assert restored.delivery_latencies_s == original.delivery_latencies_s
         assert restored.samples == original.samples
-
-    def test_averaged_roundtrip(self):
-        original = AveragedResult(
-            scheme="x", runs=2, point_coverage=0.5, aspect_coverage_deg=30.0,
-            delivered_photos=12.0, sample_times=[1.0], point_series=[0.5],
-            aspect_series_deg=[30.0], delivered_series=[12.0],
-        )
-        restored = averaged_from_dict(averaged_to_dict(original))
-        assert restored == original
 
 
 class TestSimulationLog:

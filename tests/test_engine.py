@@ -23,7 +23,7 @@ from repro.experiments.engine import (
     RunUnit,
     default_engine,
 )
-from repro.experiments.persistence import averaged_to_dict, result_to_dict
+from repro.experiments.persistence import result_to_dict
 from repro.experiments.runner import PAPER_SCHEMES, _best_possible_config
 
 SCALE = 0.05  # tiny but non-degenerate scenario; one unit runs in ~25 ms
@@ -88,9 +88,7 @@ class TestDeterminism:
         spec = small_spec()
         serial = ExperimentEngine(workers=1).run_comparison(spec, PAPER_SCHEMES, num_runs=2)
         parallel = ExperimentEngine(workers=4).run_comparison(spec, PAPER_SCHEMES, num_runs=2)
-        assert {n: averaged_to_dict(r) for n, r in serial.items()} == {
-            n: averaged_to_dict(r) for n, r in parallel.items()
-        }
+        assert serial == parallel
 
     def test_outcomes_in_plan_order(self):
         plan = RunPlan.comparison(small_spec(), SCHEMES, num_runs=2)

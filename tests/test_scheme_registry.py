@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
+import typing
+
 import pytest
 
 from repro.routing import (
@@ -14,6 +19,7 @@ from repro.routing import (
     scheme_names,
     unregister_scheme,
 )
+from repro.dtn.node import CommandCenter, DTNNode
 from repro.routing.base import RoutingScheme
 from repro.routing.coverage_scheme import CoverageSelectionScheme
 from repro.routing.spray_and_wait import SprayAndWaitScheme
@@ -157,3 +163,33 @@ class TestShimRemoved:
 
         assert not hasattr(runner, "SCHEME_FACTORIES")
         assert not hasattr(registry, "DeprecatedFactoryView")
+
+
+def _type_checking_namespace(module) -> dict:
+    """*module*'s globals plus what its ``if TYPE_CHECKING:`` block imports.
+
+    Routing modules import the node types only for type checkers, to
+    break the routing <-> dtn import cycle; this is the namespace such a
+    checker resolves their annotations in.
+    """
+    namespace = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            block = ast.Module(body=node.body, type_ignores=[])
+            exec(compile(block, module.__file__, "exec"), namespace)
+    return namespace
+
+
+class TestCallbackAnnotations:
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_callback_annotations_resolve(self, name):
+        scheme_class = type(create_scheme(name))
+        for callback in ("on_photo_created", "on_contact", "on_command_center_contact"):
+            function = getattr(scheme_class, callback)
+            namespace = _type_checking_namespace(sys.modules[function.__module__])
+            hints = typing.get_type_hints(function, globalns=namespace)
+            for parameter, hint in hints.items():
+                if parameter.startswith("node"):
+                    assert hint is DTNNode, (callback, parameter)
+                elif parameter == "center":
+                    assert hint is CommandCenter, (callback, parameter)

@@ -15,14 +15,18 @@ from repro.core.poi import PoIList
 from repro.core.selection import NodeSelection, ReallocationResult
 from repro.core.transfer import build_transfer_plan, execute_transfer_plan
 
-from helpers import MB, make_photo
+from helpers import MB, make_photo, storages
 
 PHOTO = 4 * MB
 
 
 @st.composite
-def transfer_cases(draw):
-    """Random holdings + random target selections over a shared pool."""
+def transfer_cases(draw, max_spare_photos=4):
+    """Random holdings + random target selections over a shared pool.
+
+    Each node's capacity is its holdings plus up to *max_spare_photos*
+    photos of spare room.
+    """
     pool_size = draw(st.integers(min_value=0, max_value=8))
     pool = [make_photo(float(i), 0.0, 0.0, size_bytes=PHOTO) for i in range(pool_size)]
 
@@ -44,8 +48,9 @@ def transfer_cases(draw):
 
     # Capacities at least cover current holdings (the simulator's storage
     # enforces this at all times; smaller capacities are unreachable states).
-    capacity_a = len(holdings_a) * PHOTO + draw(st.integers(min_value=0, max_value=4)) * PHOTO
-    capacity_b = len(holdings_b) * PHOTO + draw(st.integers(min_value=0, max_value=4)) * PHOTO
+    spare = st.integers(min_value=0, max_value=max_spare_photos)
+    capacity_a = (len(holdings_a) + draw(spare)) * PHOTO
+    capacity_b = (len(holdings_b) + draw(spare)) * PHOTO
     budget = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8 * PHOTO)))
     return holdings_a, holdings_b, target_a, target_b, capacity_a, capacity_b, budget
 
@@ -59,13 +64,9 @@ class TestExecutionInvariants:
             first=NodeSelection(node_id=1, photos=target_a),
             second=NodeSelection(node_id=2, photos=target_b),
         )
-        holdings = {1: holdings_a, 2: holdings_b}
-        plan = build_transfer_plan(result, holdings)
-        outcome = execute_transfer_plan(
-            plan, result, holdings,
-            capacities={1: cap_a, 2: cap_b},
-            byte_budget=budget,
-        )
+        stores = storages({1: holdings_a, 2: holdings_b}, {1: cap_a, 2: cap_b})
+        plan = build_transfer_plan(result, stores)
+        outcome = execute_transfer_plan(plan, result, stores, byte_budget=budget)
 
         # 1. Byte budget respected.
         if budget is not None:
@@ -76,7 +77,7 @@ class TestExecutionInvariants:
 
         # 2. Capacity respected on both nodes.
         for node_id, capacity in ((1, cap_a), (2, cap_b)):
-            used = sum(p.size_bytes for p in outcome.final_collections[node_id])
+            used = sum(p.size_bytes for p in stores[node_id].photos())
             assert used <= capacity
 
         # 3. Completed transfers are a prefix of the plan.
@@ -89,7 +90,7 @@ class TestExecutionInvariants:
         #    transferred in.
         before = {p.photo_id for p in holdings_a} | {p.photo_id for p in holdings_b}
         for node_id in (1, 2):
-            for photo in outcome.final_collections[node_id]:
+            for photo in stores[node_id].photos():
                 assert photo.photo_id in before
 
         # 5. A completed (untruncated) plan leaves each node with a subset
@@ -97,7 +98,7 @@ class TestExecutionInvariants:
         if not outcome.truncated:
             for node_id, targets in ((1, target_a), (2, target_b)):
                 target_ids = {p.photo_id for p in targets}
-                for photo in outcome.final_collections[node_id]:
+                for photo in stores[node_id].photos():
                     assert photo.photo_id in target_ids
 
     @given(case=transfer_cases())
@@ -109,7 +110,7 @@ class TestExecutionInvariants:
             second=NodeSelection(node_id=2, photos=target_b),
         )
         holdings = {1: holdings_a, 2: holdings_b}
-        plan = build_transfer_plan(result, holdings)
+        plan = build_transfer_plan(result, storages(holdings))
         for transfer in plan:
             receiver_held = {p.photo_id for p in holdings[transfer.receiver_id]}
             assert transfer.photo.photo_id not in receiver_held
@@ -139,14 +140,13 @@ class TestTruncationPrefixProperty:
             second=NodeSelection(node_id=2, photos=target_b),
         )
         holdings = {1: holdings_a, 2: holdings_b}
-        plan = build_transfer_plan(result, holdings)
         # Generous capacities isolate truncation from capacity skips.
         capacities = {1: 64 * PHOTO, 2: 64 * PHOTO}
+        plan = build_transfer_plan(result, storages(holdings, capacities))
 
         for budget in range(0, plan.total_bytes + PHOTO, PHOTO // 2):
-            outcome = execute_transfer_plan(
-                plan, result, holdings, capacities=capacities, byte_budget=budget
-            )
+            stores = storages(holdings, capacities)
+            outcome = execute_transfer_plan(plan, result, stores, byte_budget=budget)
             # The exact prefix that fits the budget, in plan order.
             expected, used = [], 0
             for transfer in plan:
@@ -168,20 +168,15 @@ class TestTruncationPrefixProperty:
             first=NodeSelection(node_id=1, photos=target_a),
             second=NodeSelection(node_id=2, photos=target_b),
         )
-        holdings = {1: holdings_a, 2: holdings_b}
-        plan = build_transfer_plan(result, holdings)
+        stores = storages({1: holdings_a, 2: holdings_b}, {1: cap_a, 2: cap_b})
+        plan = build_transfer_plan(result, stores)
 
         draws = iter(drop_mask)
 
         def survives(photo):
             return not next(draws)
 
-        outcome = execute_transfer_plan(
-            plan, result, holdings,
-            capacities={1: cap_a, 2: cap_b},
-            byte_budget=budget,
-            transfer_survives=survives,
-        )
+        outcome = execute_transfer_plan(plan, result, stores, survives, byte_budget=budget)
         if budget is not None:
             assert outcome.bytes_used <= budget
         assert outcome.bytes_used == sum(
@@ -195,7 +190,101 @@ class TestTruncationPrefixProperty:
         # A dropped photo never materializes at its receiver (the plan only
         # schedules photos the receiver lacks, so absence proves the drop).
         for transfer in outcome.dropped_transfers:
-            receiver_ids = {
-                p.photo_id for p in outcome.final_collections[transfer.receiver_id]
-            }
+            receiver_ids = set(stores[transfer.receiver_id].photo_ids())
             assert transfer.photo.photo_id not in receiver_ids
+
+
+def list_executor(plan, result, holdings, capacities, byte_budget, transfer_survives):
+    """Reference executor: runs *plan* on copies of the *holdings* lists.
+
+    It keeps its own byte tally and, at every transfer that needs room,
+    lists the receiver's non-targets afresh and evicts the highest ids
+    first.  Returns ``(collections, completed, dropped, bytes_used,
+    truncated)``.
+    """
+    collections = {node_id: list(photos) for node_id, photos in holdings.items()}
+    used = {node_id: sum(p.size_bytes for p in photos) for node_id, photos in holdings.items()}
+    target_ids = {
+        result.first.node_id: result.first.photo_ids(),
+        result.second.node_id: result.second.photo_ids(),
+    }
+    completed, dropped, bytes_used, truncated = [], [], 0, False
+    for transfer in plan:
+        size = transfer.photo.size_bytes
+        if byte_budget is not None and bytes_used + size > byte_budget:
+            truncated = True
+            break
+        receiver = transfer.receiver_id
+        capacity = capacities.get(receiver)
+        if capacity is not None:
+            collection = collections[receiver]
+            evictable = sorted(
+                (p for p in collection if p.photo_id not in target_ids[receiver]),
+                key=lambda p: p.photo_id,
+            )
+            victim_ids = set()
+            while evictable and used[receiver] + size > capacity:
+                victim = evictable.pop()
+                victim_ids.add(victim.photo_id)
+                used[receiver] -= victim.size_bytes
+            collection[:] = [p for p in collection if p.photo_id not in victim_ids]
+            if used[receiver] + size > capacity:
+                continue
+        if transfer_survives is not None and not transfer_survives(transfer.photo):
+            dropped.append(transfer)
+            bytes_used += size
+            continue
+        collections[receiver].append(transfer.photo)
+        used[receiver] += size
+        completed.append(transfer)
+        bytes_used += size
+    if not truncated:
+        for node_id, ids in target_ids.items():
+            if capacities.get(node_id) is not None:
+                collections[node_id] = [p for p in collections[node_id] if p.photo_id in ids]
+    return collections, completed, dropped, bytes_used, truncated
+
+
+class TestListExecutorEquivalence:
+    """In-place execution on :class:`NodeStorage` leaves the same
+    collections, in the same order, as running the plan on copied lists."""
+
+    @given(
+        # At most one photo of spare room, so receivers often must evict.
+        case=transfer_cases(max_spare_photos=1),
+        drop_mask=st.one_of(st.none(), st.lists(st.booleans(), min_size=32, max_size=32)),
+        unlimited_first=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_list_executor(self, case, drop_mask, unlimited_first):
+        holdings_a, holdings_b, target_a, target_b, cap_a, cap_b, _ = case
+        result = ReallocationResult(
+            first=NodeSelection(node_id=1, photos=target_a),
+            second=NodeSelection(node_id=2, photos=target_b),
+        )
+        holdings = {1: holdings_a, 2: holdings_b}
+        capacities = {1: None if unlimited_first else cap_a, 2: cap_b}
+        plan = build_transfer_plan(result, storages(holdings, capacities))
+
+        def survives():
+            # Each run replays the same corruption draws.
+            if drop_mask is None:
+                return None
+            draws = iter(drop_mask)
+            return lambda photo: not next(draws)
+
+        # Cut the contact at every point of the plan: which victims an
+        # eviction chose shows only when the trim never runs.
+        for budget in [None, *range(0, plan.total_bytes + PHOTO, PHOTO // 2)]:
+            stores = storages(holdings, capacities)
+            outcome = execute_transfer_plan(plan, result, stores, survives(), byte_budget=budget)
+            collections, completed, dropped, bytes_used, truncated = list_executor(
+                plan, result, holdings, capacities, budget, survives()
+            )
+            for node_id in (1, 2):
+                assert stores[node_id].photo_ids() == [p.photo_id for p in collections[node_id]]
+                assert stores[node_id].used_bytes == sum(p.size_bytes for p in collections[node_id])
+            assert outcome.completed_transfers == completed
+            assert outcome.dropped_transfers == dropped
+            assert outcome.bytes_used == bytes_used
+            assert outcome.truncated == truncated
