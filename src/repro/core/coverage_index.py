@@ -15,11 +15,11 @@ is the reference implementation it is tested against.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .angular import ArcSet, AngularInterval
 from .coverage import DEFAULT_EFFECTIVE_ANGLE, CoverageValue
+from .geometry import Point
 from .metadata import Photo
 from .poi import PoIList
 
@@ -56,49 +56,67 @@ class CoverageIndex:
         self._incidences: Dict[int, List[Incidence]] = {}
         self._arc_cache: Dict[int, tuple] = {}
         self._cell_size = cell_size if cell_size is not None else self._default_cell_size()
-        self._grid: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for poi in pois:
-            self._grid[self._cell_of(poi.location.x, poi.location.y)].append(poi.poi_id)
+        self._grid = self._build_grid()
+
+    # The grid is derived from the PoI list: left out of pickles (service
+    # snapshots) and rebuilt on load, whatever shape a snapshot carried.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_grid"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._grid = self._build_grid()
 
     def _default_cell_size(self) -> float:
         # Cells comparable to a typical coverage range keep candidate lists
         # short without making the cell scan dominate.
         return 250.0
 
-    def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
-        return (int(math.floor(x / self._cell_size)), int(math.floor(y / self._cell_size)))
-
-    def _candidate_poi_ids(self, photo: Photo) -> Iterable[int]:
-        """PoIs in grid cells intersecting the photo's bounding box."""
-        loc = photo.metadata.location
-        radius = photo.metadata.coverage_range
-        lo_cx, lo_cy = self._cell_of(loc.x - radius, loc.y - radius)
-        hi_cx, hi_cy = self._cell_of(loc.x + radius, loc.y + radius)
-        for cx in range(lo_cx, hi_cx + 1):
-            for cy in range(lo_cy, hi_cy + 1):
-                cell = self._grid.get((cx, cy))
-                if cell:
-                    yield from cell
+    def _build_grid(self) -> Dict[Tuple[int, int], List[Tuple[int, Point]]]:
+        """Grid cell -> the ``(poi_id, location)`` of the PoIs inside it."""
+        grid: Dict[Tuple[int, int], List[Tuple[int, Point]]] = {}
+        size = self._cell_size
+        for poi in self.pois:
+            cell = (math.floor(poi.location.x / size), math.floor(poi.location.y / size))
+            grid.setdefault(cell, []).append((poi.poi_id, poi.location))
+        return grid
 
     def incidences(self, photo: Photo) -> List[Incidence]:
         """``(poi_id, viewing_direction)`` pairs for PoIs this photo covers.
 
-        Computed lazily, memoized by ``photo_id``.
+        Candidates are the PoIs in grid cells meeting the photo's bounding
+        box, cell by cell.  Computed lazily, memoized by ``photo_id``.
         """
         cached = self._incidences.get(photo.photo_id)
         if cached is not None:
             return cached
-        sector = photo.metadata.sector()
+        metadata = photo.metadata
+        x, y = metadata.location.x, metadata.location.y
+        radius = metadata.coverage_range
+        size = self._cell_size
+        grid = self._grid
+        sector = None
         found: List[Incidence] = []
-        for poi_id in self._candidate_poi_ids(photo):
-            poi = self.pois[poi_id]
-            if sector.contains(poi.location):
-                if poi.location.distance_to(sector.apex) == 0.0:
-                    # Degenerate camera-on-PoI photo: point coverage only,
-                    # no defined viewing direction; contribute a NaN marker.
-                    found.append((poi_id, float("nan")))
-                else:
-                    found.append((poi_id, sector.viewing_direction_of(poi.location)))
+        for cx in range(math.floor((x - radius) / size), math.floor((x + radius) / size) + 1):
+            for cy in range(math.floor((y - radius) / size), math.floor((y + radius) / size) + 1):
+                for poi_id, location in grid.get((cx, cy), ()):
+                    # Exact prefilter: Sector.contains tests hypot(dx, dy) > r,
+                    # and a faithfully rounded hypot is never below
+                    # max(|dx|, |dy|), so every PoI skipped here fails it.
+                    if abs(x - location.x) > radius or abs(y - location.y) > radius:
+                        continue
+                    if sector is None:
+                        sector = metadata.sector()
+                    if not sector.contains(location):
+                        continue
+                    if location.distance_to(sector.apex) == 0.0:
+                        # Degenerate camera-on-PoI photo: point coverage only,
+                        # no defined viewing direction; contribute a NaN marker.
+                        found.append((poi_id, float("nan")))
+                    else:
+                        found.append((poi_id, sector.viewing_direction_of(location)))
         self._incidences[photo.photo_id] = found
         return found
 
@@ -247,6 +265,3 @@ class PoICoverageState:
 
     def total(self) -> CoverageValue:
         return self._total
-
-    def covered_poi_ids(self) -> Sequence[int]:
-        return [pid for pid, covered in self._point_covered.items() if covered]

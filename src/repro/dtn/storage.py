@@ -45,12 +45,6 @@ class NodeStorage:
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def free_bytes(self) -> Optional[int]:
-        if self.capacity_bytes is None:
-            return None
-        return self.capacity_bytes - self._used
-
     def fits(self, photo: Photo) -> bool:
         if self.capacity_bytes is None:
             return True

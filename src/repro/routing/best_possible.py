@@ -8,11 +8,17 @@ the command center receives everything a gateway carries.  The coverage it
 achieves is limited purely by which photos can causally reach the command
 center before the deadline, which is the paper's definition of the best
 possible outcome.
+
+A node's useful photos are a bitset, a Python int kept in its ``scratch``
+(so a crash that wipes protocol state wipes it too): bit *i* stands for
+the run's *i*-th useful photo.  A contact is one ``|`` whose immutable
+result both nodes share, and an uplink hands the command center only the
+bits not delivered yet, in ``photo_id`` order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Iterator, List
 
 from ..core.metadata import Photo
 from .base import RoutingScheme
@@ -20,8 +26,20 @@ from .registry import register_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dtn.node import CommandCenter, DTNNode
+    from ..dtn.simulator import Simulation
 
 __all__ = ["BestPossibleScheme"]
+
+_BITS = "best_possible_bits"
+
+
+def _set_bits(bits: int) -> Iterator[int]:
+    """Positions of the set bits of *bits*, lowest first."""
+    digits = bin(bits)[:1:-1]  # least significant digit first, no "0b"
+    position = digits.find("1")
+    while position >= 0:
+        yield position
+        position = digits.find("1", position + 1)
 
 
 @register_scheme("best-possible")
@@ -30,27 +48,43 @@ class BestPossibleScheme(RoutingScheme):
 
     name = "best-possible"
 
-    def on_photo_created(self, node: DTNNode, photo: Photo, now: float) -> None:
-        if self.sim.incidences(photo):
-            self._collection(node).add(photo.photo_id)
-            self.sim.scratch.setdefault("best_possible_photos", {})[photo.photo_id] = photo
+    def bind(self, sim: "Simulation") -> None:
+        super().bind(sim)
+        #: Bit *i* of a node's bitset stands for ``self._photos[i]``.
+        self._photos: List[Photo] = []
+        self._bit_of: Dict[int, int] = {}
+        self._delivered = 0
 
-    @staticmethod
-    def _collection(node: DTNNode) -> set:
-        # Unlimited replication is tracked as id sets outside NodeStorage,
-        # since capacity bookkeeping is meaningless for this bound.
-        return node.scratch.setdefault("best_possible_ids", set())
+    def __setstate__(self, state: dict) -> None:
+        if state.get("sim") is not None and "_photos" not in state:
+            # A bound scheme pickled before the bitset state existed: the
+            # snapshot then reads as missing and recovery uses the journal.
+            raise ValueError("best-possible snapshot predates its bitset state")
+        self.__dict__.update(state)
+
+    def on_photo_created(self, node: DTNNode, photo: Photo, now: float) -> None:
+        if not self.sim.incidences(photo):
+            return
+        bit = self._bit_of.get(photo.photo_id)
+        if bit is None:
+            bit = self._bit_of[photo.photo_id] = len(self._photos)
+            self._photos.append(photo)
+        else:
+            self._photos[bit] = photo  # a re-reported id: the latest copy is sent
+        node.scratch[_BITS] = node.scratch.get(_BITS, 0) | (1 << bit)
 
     def on_contact(self, node_a: DTNNode, node_b: DTNNode, now: float, duration: float) -> None:
-        merged = self._collection(node_a) | self._collection(node_b)
-        node_a.scratch["best_possible_ids"] = set(merged)
-        node_b.scratch["best_possible_ids"] = set(merged)
+        merged = node_a.scratch.get(_BITS, 0) | node_b.scratch.get(_BITS, 0)
+        node_a.scratch[_BITS] = node_b.scratch[_BITS] = merged
 
     def on_command_center_contact(
         self, node: DTNNode, center: CommandCenter, now: float, duration: float
     ) -> None:
-        photos = self.sim.scratch.get("best_possible_photos", {})
-        for photo_id in sorted(self._collection(node)):
-            photo = photos.get(photo_id)
-            if photo is not None:
-                self.sim.deliver(photo)
+        fresh = node.scratch.get(_BITS, 0) & ~self._delivered
+        if not fresh:
+            return
+        self._delivered |= fresh
+        photos = [self._photos[bit] for bit in _set_bits(fresh)]
+        photos.sort(key=lambda photo: photo.photo_id)
+        for photo in photos:
+            self.sim.deliver(photo)

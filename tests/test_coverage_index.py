@@ -150,11 +150,6 @@ class TestPoICoverageState:
         clone.add_photo(photo_at_aspect(Point(0.0, 0.0), aspect_deg=180.0))
         assert clone.total() > state.total()
 
-    def test_covered_poi_ids(self, three_poi_index):
-        state = PoICoverageState(three_poi_index)
-        state.add_photo(photo_at_aspect(Point(500.0, 0.0), aspect_deg=0.0))
-        assert list(state.covered_poi_ids()) == [1]
-
     def test_duplicate_photo_adds_nothing(self, three_poi_index):
         state = PoICoverageState(three_poi_index)
         photo = photo_at_aspect(Point(0.0, 0.0), aspect_deg=0.0)

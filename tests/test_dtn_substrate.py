@@ -198,7 +198,6 @@ class TestNodeStorage:
 
     def test_unlimited_storage(self):
         storage = NodeStorage(None)
-        assert storage.free_bytes is None
         for _ in range(100):
             storage.add(make_photo(0, 0, 0, size_bytes=10 * MB))
         assert len(storage) == 100

@@ -51,55 +51,80 @@ def transfer_cases(draw, max_spare_photos=4):
     spare = st.integers(min_value=0, max_value=max_spare_photos)
     capacity_a = (len(holdings_a) + draw(spare)) * PHOTO
     capacity_b = (len(holdings_b) + draw(spare)) * PHOTO
-    budget = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8 * PHOTO)))
-    return holdings_a, holdings_b, target_a, target_b, capacity_a, capacity_b, budget
+    return holdings_a, holdings_b, target_a, target_b, capacity_a, capacity_b
+
+
+def cut_points(plan) -> list:
+    """No budget, then byte budgets that cut *plan* at every point."""
+    return [None, *range(0, plan.total_bytes + PHOTO, PHOTO // 2)]
+
+
+def assert_victims_highest_id_first(holdings, targets, stores):
+    """A node loses only non-targets, and each non-target it lost has a
+    higher id than every non-target it kept.  Only a contact cut after an
+    eviction shows the victim order: a completed plan trims the rest."""
+    for node_id, held in holdings.items():
+        target_ids = {p.photo_id for p in targets[node_id]}
+        kept = set(stores[node_id].photo_ids())
+        lost = [p.photo_id for p in held if p.photo_id not in kept]
+        kept_others = [p.photo_id for p in held if p.photo_id in kept - target_ids]
+        assert not target_ids.intersection(lost)
+        if lost and kept_others:
+            assert min(lost) > max(kept_others)
 
 
 class TestExecutionInvariants:
     @given(case=transfer_cases())
     @settings(max_examples=150, deadline=None)
     def test_physical_invariants(self, case):
-        holdings_a, holdings_b, target_a, target_b, cap_a, cap_b, budget = case
+        holdings_a, holdings_b, target_a, target_b, cap_a, cap_b = case
         result = ReallocationResult(
             first=NodeSelection(node_id=1, photos=target_a),
             second=NodeSelection(node_id=2, photos=target_b),
         )
-        stores = storages({1: holdings_a, 2: holdings_b}, {1: cap_a, 2: cap_b})
-        plan = build_transfer_plan(result, stores)
-        outcome = execute_transfer_plan(plan, result, stores, byte_budget=budget)
+        holdings = {1: holdings_a, 2: holdings_b}
+        targets = {1: target_a, 2: target_b}
+        capacities = {1: cap_a, 2: cap_b}
+        plan = build_transfer_plan(result, storages(holdings, capacities))
+        for budget in cut_points(plan):
+            stores = storages(holdings, capacities)
+            outcome = execute_transfer_plan(plan, result, stores, byte_budget=budget)
 
-        # 1. Byte budget respected.
-        if budget is not None:
-            assert outcome.bytes_used <= budget
-        assert outcome.bytes_used == sum(
-            t.photo.size_bytes for t in outcome.completed_transfers
-        )
+            # 1. Byte budget respected.
+            if budget is not None:
+                assert outcome.bytes_used <= budget
+            assert outcome.bytes_used == sum(
+                t.photo.size_bytes for t in outcome.completed_transfers
+            )
 
-        # 2. Capacity respected on both nodes.
-        for node_id, capacity in ((1, cap_a), (2, cap_b)):
-            used = sum(p.size_bytes for p in stores[node_id].photos())
-            assert used <= capacity
+            # 2. Capacity respected on both nodes.
+            for node_id, capacity in capacities.items():
+                used = sum(p.size_bytes for p in stores[node_id].photos())
+                assert used <= capacity
 
-        # 3. Completed transfers are a prefix of the plan.
-        assert outcome.completed_transfers == [
-            t for t in list(plan)[: len(outcome.completed_transfers) + _skips(plan, outcome)]
-            if t in outcome.completed_transfers
-        ]
+            # 3. Completed transfers are a prefix of the plan.
+            assert outcome.completed_transfers == [
+                t for t in list(plan)[: len(outcome.completed_transfers) + _skips(plan, outcome)]
+                if t in outcome.completed_transfers
+            ]
 
-        # 4. Nobody conjures photos: every held photo existed before or was
-        #    transferred in.
-        before = {p.photo_id for p in holdings_a} | {p.photo_id for p in holdings_b}
-        for node_id in (1, 2):
-            for photo in stores[node_id].photos():
-                assert photo.photo_id in before
-
-        # 5. A completed (untruncated) plan leaves each node with a subset
-        #    of its target selection.
-        if not outcome.truncated:
-            for node_id, targets in ((1, target_a), (2, target_b)):
-                target_ids = {p.photo_id for p in targets}
+            # 4. Nobody conjures photos: every held photo existed before or
+            #    was transferred in.
+            before = {p.photo_id for p in holdings_a} | {p.photo_id for p in holdings_b}
+            for node_id in (1, 2):
                 for photo in stores[node_id].photos():
-                    assert photo.photo_id in target_ids
+                    assert photo.photo_id in before
+
+            # 5. A completed (untruncated) plan leaves each node with a
+            #    subset of its target selection.
+            if not outcome.truncated:
+                for node_id in (1, 2):
+                    target_ids = {p.photo_id for p in targets[node_id]}
+                    for photo in stores[node_id].photos():
+                        assert photo.photo_id in target_ids
+
+            # 6. Evictions take the highest-id non-targets first.
+            assert_victims_highest_id_first(holdings, targets, stores)
 
     @given(case=transfer_cases())
     @settings(max_examples=80, deadline=None)
@@ -163,35 +188,41 @@ class TestTruncationPrefixProperty:
     def test_lossy_transfers_spend_budget_but_store_nothing(self, case, drop_mask):
         """With a fault-injection loss filter, dropped photos consume bytes
         (the transmission happened) but never appear in any collection."""
-        holdings_a, holdings_b, target_a, target_b, cap_a, cap_b, budget = case
+        holdings_a, holdings_b, target_a, target_b, cap_a, cap_b = case
         result = ReallocationResult(
             first=NodeSelection(node_id=1, photos=target_a),
             second=NodeSelection(node_id=2, photos=target_b),
         )
-        stores = storages({1: holdings_a, 2: holdings_b}, {1: cap_a, 2: cap_b})
-        plan = build_transfer_plan(result, stores)
+        holdings = {1: holdings_a, 2: holdings_b}
+        capacities = {1: cap_a, 2: cap_b}
+        plan = build_transfer_plan(result, storages(holdings, capacities))
 
-        draws = iter(drop_mask)
+        for budget in cut_points(plan):
+            stores = storages(holdings, capacities)
+            draws = iter(drop_mask)  # each cut replays the same drops
 
-        def survives(photo):
-            return not next(draws)
+            def survives(photo):
+                return not next(draws)
 
-        outcome = execute_transfer_plan(plan, result, stores, survives, byte_budget=budget)
-        if budget is not None:
-            assert outcome.bytes_used <= budget
-        assert outcome.bytes_used == sum(
-            t.photo.size_bytes
-            for t in outcome.completed_transfers + outcome.dropped_transfers
-        )
-        dropped_ids = {t.photo.photo_id for t in outcome.dropped_transfers}
-        completed_ids = {t.photo.photo_id for t in outcome.completed_transfers}
-        # A photo either arrived or was dropped, never both.
-        assert not dropped_ids & completed_ids
-        # A dropped photo never materializes at its receiver (the plan only
-        # schedules photos the receiver lacks, so absence proves the drop).
-        for transfer in outcome.dropped_transfers:
-            receiver_ids = set(stores[transfer.receiver_id].photo_ids())
-            assert transfer.photo.photo_id not in receiver_ids
+            outcome = execute_transfer_plan(plan, result, stores, survives, byte_budget=budget)
+            if budget is not None:
+                assert outcome.bytes_used <= budget
+            assert outcome.bytes_used == sum(
+                t.photo.size_bytes
+                for t in outcome.completed_transfers + outcome.dropped_transfers
+            )
+            dropped_ids = {t.photo.photo_id for t in outcome.dropped_transfers}
+            completed_ids = {t.photo.photo_id for t in outcome.completed_transfers}
+            # A photo either arrived or was dropped, never both.
+            assert not dropped_ids & completed_ids
+            # A dropped photo never materializes at its receiver (the plan
+            # only schedules photos the receiver lacks, so absence proves
+            # the drop).
+            for transfer in outcome.dropped_transfers:
+                receiver_ids = set(stores[transfer.receiver_id].photo_ids())
+                assert transfer.photo.photo_id not in receiver_ids
+            # Room made for a dropped photo still took the highest ids.
+            assert_victims_highest_id_first(holdings, {1: target_a, 2: target_b}, stores)
 
 
 def list_executor(plan, result, holdings, capacities, byte_budget, transfer_survives):
@@ -257,7 +288,7 @@ class TestListExecutorEquivalence:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_list_executor(self, case, drop_mask, unlimited_first):
-        holdings_a, holdings_b, target_a, target_b, cap_a, cap_b, _ = case
+        holdings_a, holdings_b, target_a, target_b, cap_a, cap_b = case
         result = ReallocationResult(
             first=NodeSelection(node_id=1, photos=target_a),
             second=NodeSelection(node_id=2, photos=target_b),
@@ -275,7 +306,7 @@ class TestListExecutorEquivalence:
 
         # Cut the contact at every point of the plan: which victims an
         # eviction chose shows only when the trim never runs.
-        for budget in [None, *range(0, plan.total_bytes + PHOTO, PHOTO // 2)]:
+        for budget in cut_points(plan):
             stores = storages(holdings, capacities)
             outcome = execute_transfer_plan(plan, result, stores, survives(), byte_budget=budget)
             collections, completed, dropped, bytes_used, truncated = list_executor(
