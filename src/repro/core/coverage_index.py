@@ -15,17 +15,19 @@ is the reference implementation it is tested against.
 from __future__ import annotations
 
 import math
+from math import atan2, hypot
 from typing import Dict, Iterable, List, Tuple
 
-from .angular import ArcSet, AngularInterval
+from .angular import TWO_PI, ArcSet, AngularInterval, normalize_angle
 from .coverage import DEFAULT_EFFECTIVE_ANGLE, CoverageValue
-from .geometry import Point
 from .metadata import Photo
 from .poi import PoIList
 
 __all__ = ["CoverageIndex", "PoICoverageState"]
 
 Incidence = Tuple[int, float]  # (poi_id, viewing_direction)
+
+NAN = float("nan")
 
 
 class CoverageIndex:
@@ -57,37 +59,60 @@ class CoverageIndex:
         self._arc_cache: Dict[int, tuple] = {}
         self._cell_size = cell_size if cell_size is not None else self._default_cell_size()
         self._grid = self._build_grid()
+        self._box_candidates: Dict[Tuple[int, int, int, int], tuple] = {}
 
-    # The grid is derived from the PoI list: left out of pickles (service
-    # snapshots) and rebuilt on load, whatever shape a snapshot carried.
+    # The grid and the box memo are derived from the PoI list: left out of
+    # pickles (service snapshots) and rebuilt on load, whatever shape a
+    # snapshot carried.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_grid"]
+        state.pop("_box_candidates", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._grid = self._build_grid()
+        self._box_candidates = {}
 
     def _default_cell_size(self) -> float:
         # Cells comparable to a typical coverage range keep candidate lists
         # short without making the cell scan dominate.
         return 250.0
 
-    def _build_grid(self) -> Dict[Tuple[int, int], List[Tuple[int, Point]]]:
-        """Grid cell -> the ``(poi_id, location)`` of the PoIs inside it."""
-        grid: Dict[Tuple[int, int], List[Tuple[int, Point]]] = {}
+    def _build_grid(self) -> Dict[Tuple[int, int], List[Tuple[int, float, float]]]:
+        """Grid cell -> the ``(poi_id, x, y)`` of the PoIs inside it."""
+        grid: Dict[Tuple[int, int], List[Tuple[int, float, float]]] = {}
         size = self._cell_size
         for poi in self.pois:
-            cell = (math.floor(poi.location.x / size), math.floor(poi.location.y / size))
-            grid.setdefault(cell, []).append((poi.poi_id, poi.location))
+            x, y = poi.location.x, poi.location.y
+            cell = (math.floor(x / size), math.floor(y / size))
+            grid.setdefault(cell, []).append((poi.poi_id, x, y))
         return grid
+
+    def _candidates_in(self, box: Tuple[int, int, int, int]) -> tuple:
+        """The grid entries of the cells ``lo_cx..hi_cx`` by ``lo_cy..hi_cy``
+        that *box* spans, column by column."""
+        lo_cx, hi_cx, lo_cy, hi_cy = box
+        grid = self._grid
+        return tuple(
+            entry
+            for cx in range(lo_cx, hi_cx + 1)
+            for cy in range(lo_cy, hi_cy + 1)
+            for entry in grid.get((cx, cy), ())
+        )
 
     def incidences(self, photo: Photo) -> List[Incidence]:
         """``(poi_id, viewing_direction)`` pairs for PoIs this photo covers.
 
         Candidates are the PoIs in grid cells meeting the photo's bounding
-        box, cell by cell.  Computed lazily, memoized by ``photo_id``.
+        box, cell by cell; the list for each box of cells is walked once
+        and kept.  Computed lazily, memoized by ``photo_id``.
+
+        Each candidate gets the float operations of ``Sector.contains`` and
+        ``Sector.viewing_direction_of`` written out here, in their order, so
+        the list is bit for bit what the :class:`~repro.core.geometry.Sector`
+        would give.
         """
         cached = self._incidences.get(photo.photo_id)
         if cached is not None:
@@ -96,27 +121,41 @@ class CoverageIndex:
         x, y = metadata.location.x, metadata.location.y
         radius = metadata.coverage_range
         size = self._cell_size
-        grid = self._grid
-        sector = None
+        box = (
+            math.floor((x - radius) / size),
+            math.floor((x + radius) / size),
+            math.floor((y - radius) / size),
+            math.floor((y + radius) / size),
+        )
+        candidates = self._box_candidates.get(box)
+        if candidates is None:
+            candidates = self._box_candidates[box] = self._candidates_in(box)
+        direction = None
         found: List[Incidence] = []
-        for cx in range(math.floor((x - radius) / size), math.floor((x + radius) / size) + 1):
-            for cy in range(math.floor((y - radius) / size), math.floor((y + radius) / size) + 1):
-                for poi_id, location in grid.get((cx, cy), ()):
-                    # Exact prefilter: Sector.contains tests hypot(dx, dy) > r,
-                    # and a faithfully rounded hypot is never below
-                    # max(|dx|, |dy|), so every PoI skipped here fails it.
-                    if abs(x - location.x) > radius or abs(y - location.y) > radius:
-                        continue
-                    if sector is None:
-                        sector = metadata.sector()
-                    if not sector.contains(location):
-                        continue
-                    if location.distance_to(sector.apex) == 0.0:
-                        # Degenerate camera-on-PoI photo: point coverage only,
-                        # no defined viewing direction; contribute a NaN marker.
-                        found.append((poi_id, float("nan")))
-                    else:
-                        found.append((poi_id, sector.viewing_direction_of(location)))
+        for poi_id, px, py in candidates:
+            # Exact prefilter: the sector test rejects hypot(dx, dy) > r,
+            # and a faithfully rounded hypot is never below
+            # max(|dx|, |dy|), so every PoI skipped here fails it.
+            if abs(x - px) > radius or abs(y - py) > radius:
+                continue
+            if direction is None:
+                # The sector's bisector and half-width, normalized and
+                # derived as Sector does, once per photo.
+                direction = normalize_angle(metadata.orientation)
+                half_width = metadata.field_of_view / 2.0 + 1e-12
+            separation = hypot(x - px, y - py)
+            if separation > radius:
+                continue
+            if separation == 0.0:
+                # Degenerate camera-on-PoI photo: point coverage only,
+                # no defined viewing direction; contribute a NaN marker.
+                found.append((poi_id, NAN))
+                continue
+            # angle_difference(bearing apex -> PoI, direction)
+            diff = abs(normalize_angle(atan2(-(py - y), px - x)) - direction)
+            if min(diff, TWO_PI - diff) <= half_width:
+                # The viewing direction: the bearing PoI -> apex.
+                found.append((poi_id, normalize_angle(atan2(-(y - py), x - px))))
         self._incidences[photo.photo_id] = found
         return found
 

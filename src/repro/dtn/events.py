@@ -15,7 +15,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -67,13 +67,18 @@ class EventQueue:
     """A deterministic min-heap of :class:`Event` objects, plus an arrival lane.
 
     Photo arrivals are known before the run starts, so they are not pushed:
-    the queue takes them at construction as a *lane*, stably sorted by time,
-    and :meth:`pop` builds each ``PHOTO_CREATED`` event when its turn comes.
-    The lane head is served while its time is ``<=`` the heap top.  That is
-    the heap's own ``(time, kind, sequence)`` order, because arrivals have
-    the lowest kind and come before every later push.  Only contacts,
-    crashes, restarts, samples and the end -- a few thousand entries at
-    Table-I scale, not some eighty thousand -- live in the heap.
+    the queue takes them at construction as a *lane*, stably sorted by time.
+    The lane head is served while its time is ``<=`` the heap top; that one
+    rule lives in :meth:`arrivals_due`.  It is the heap's own ``(time, kind,
+    sequence)`` order, because arrivals have the lowest kind and come before
+    every later push.  Only contacts, crashes, restarts, samples and the end
+    -- a few thousand entries at Table-I scale, not some eighty thousand --
+    live in the heap.
+
+    The simulator's loop drains :meth:`arrivals_due` itself and pops only
+    heap events, so no :class:`Event` is built for an arrival there;
+    :meth:`pop` builds a ``PHOTO_CREATED`` event for callers that want one
+    stream of events.
     """
 
     # A class-level default: a queue pickled before the lane existed (a
@@ -95,14 +100,22 @@ class EventQueue:
     def push(self, event: Event) -> None:
         heapq.heappush(self._heap, (event.time, event.kind, next(self._sequence), event))
 
-    def pop(self) -> Event:
+    def arrivals_due(self) -> Iterator[Any]:
+        """Take the arrivals due before the heap top off the lane, in order.
+
+        Each arrival leaves the lane as it is yielded, and the heap top is
+        read again before the next one, so the caller may push meanwhile.
+        """
         lane, heap = self._lane, self._heap
-        if lane and (not heap or lane[-1].time <= heap[0][0]):
-            arrival = lane.pop()
+        while lane and (not heap or lane[-1].time <= heap[0][0]):
+            yield lane.pop()
+
+    def pop(self) -> Event:
+        for arrival in self.arrivals_due():
             return Event(arrival.time, EventKind.PHOTO_CREATED, (arrival.owner_id, arrival.photo))
-        if not heap:
+        if not self._heap:
             raise IndexError("pop from empty event queue")
-        return heapq.heappop(heap)[3]
+        return heapq.heappop(self._heap)[3]
 
     def __len__(self) -> int:
         return len(self._heap) + len(self._lane)

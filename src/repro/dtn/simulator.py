@@ -427,13 +427,21 @@ class Simulation:
         return self.result
 
     def _run_loop(self) -> None:
-        while self._queue:
-            event = self._queue.pop()
+        # Arrivals go from the queue's lane straight to their handler, with
+        # no Event built; the queue decides when one is due.  Once none is
+        # due, the lane is empty or waits behind the heap top, so the
+        # queue is non-empty exactly while its heap is, and pop() returns
+        # the heap top.
+        queue = self._queue
+        handle_photo_created = self.handle_photo_created
+        while True:
+            for arrival in queue.arrivals_due():
+                handle_photo_created(arrival.owner_id, arrival.photo, arrival.time)
+            if not queue:
+                break
+            event = queue.pop()
             self._now = event.time
-            if event.kind == EventKind.PHOTO_CREATED:
-                owner_id, photo = event.payload
-                self.handle_photo_created(owner_id, photo, event.time)
-            elif event.kind == EventKind.CONTACT:
+            if event.kind == EventKind.CONTACT:
                 node_a_id, node_b_id, duration = event.payload[:3]
                 scale = event.payload[3] if len(event.payload) > 3 else 1.0
                 self.handle_contact(node_a_id, node_b_id, event.time, duration, scale)
@@ -442,7 +450,7 @@ class Simulation:
                 # No restart for an unknown node or one already down: the
                 # crash merges into the outage.
                 if self.crash_node(node_id):
-                    self._queue.push(Event(restart_time, EventKind.NODE_RESTART, node_id))
+                    queue.push(Event(restart_time, EventKind.NODE_RESTART, node_id))
             elif event.kind == EventKind.NODE_RESTART:
                 self.restart_node(event.payload)
             elif event.kind == EventKind.SAMPLE:

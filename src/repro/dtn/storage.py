@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.metadata import Photo
@@ -109,6 +110,12 @@ class NodeStorage:
 
     def photo_ids(self) -> List[int]:
         return list(self._photos.keys())
+
+    def newest_ids(self, count: int) -> List[int]:
+        """The ids of the last *count* photos stored, insertion-ordered."""
+        newest = list(itertools.islice(reversed(self._photos), count))
+        newest.reverse()
+        return newest
 
     def __contains__(self, photo_id: int) -> bool:
         return photo_id in self._photos

@@ -266,15 +266,13 @@ class ServiceSession:
         node = sim.ensure_node(node_id)
         self._track_churn(node_id, now)
         center = sim.command_center
-        before = set(center.storage.photo_ids())
+        before = center.received_count
         processed = sim.handle_contact(
             node_id, self.command_center_id, now, duration
         )
-        delivered = [
-            photo_id
-            for photo_id in center.storage.photo_ids()
-            if photo_id not in before
-        ]
+        # The center never drops a photo, so this uplink's deliveries are
+        # the newest entries of its storage.
+        delivered = center.storage.newest_ids(center.received_count - before)
         point, aspect = sim.index.normalized(sim.center_coverage())
         return SelectionOutcome(
             processed=processed,

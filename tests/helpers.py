@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -19,6 +20,11 @@ from repro.dtn.faults import FaultPlan
 from repro.dtn.storage import NodeStorage
 
 MB = 1024 * 1024
+
+#: Skips a case that needs numpy; the core suites also run without it.
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy not installed"
+)
 
 
 def make_photo(

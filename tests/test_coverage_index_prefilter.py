@@ -3,11 +3,19 @@
 :func:`reference_incidences` is the earlier scan: it builds the photo's
 :class:`~repro.core.geometry.Sector` first and asks ``Sector.contains`` of
 every PoI in the grid cells meeting the photo's bounding box.  The index
-now skips a candidate when ``|dx| > r`` or ``|dy| > r`` and builds the
-sector only when a candidate gets past that check.  The skip is exact
-because ``Sector.contains`` rejects ``hypot(dx, dy) > r`` and a faithfully
-rounded ``hypot`` is never below ``max(|dx|, |dy|)``; the lists must be
-equal, order, every float bit and the NaN markers included.
+now skips a candidate when ``|dx| > r`` or ``|dy| > r``, and runs the
+float operations of ``Sector.contains`` and ``Sector.viewing_direction_of``
+inline for the rest.  The skip is exact because ``Sector.contains``
+rejects ``hypot(dx, dy) > r`` and a faithfully rounded ``hypot`` is never
+below ``max(|dx|, |dy|)``; the inline test repeats the sector's operations
+in their order.  The lists must be equal, order, every float bit and the
+NaN markers included.
+
+``TestInlineSectorKernel`` puts PoIs exactly on the boundaries the inline
+test draws: the field-of-view edge with its ``1e-12`` slack, orientations
+at multiples of ``2*pi``, and the rim ``hypot(dx, dy) == r``.
+
+Everything here except the Table-I case runs with numpy absent.
 """
 
 from __future__ import annotations
@@ -16,14 +24,17 @@ import math
 import pickle
 from collections import defaultdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.angular import TWO_PI, angle_difference
 from repro.core.coverage_index import CoverageIndex
 from repro.core.geometry import Point
+from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoIList
 
-from helpers import make_photo
+from helpers import make_photo, needs_numpy
 
 CELL = 250.0  # CoverageIndex's default grid cell edge
 
@@ -150,6 +161,7 @@ class TestPrefilterMatchesTheScan:
         facing_down = make_photo(0.0, 0.0, 90.0, fov_deg=60.0, coverage_range=100.0)
         assert [pid for pid, _ in CoverageIndex(pois).incidences(facing_down)] == [1]
 
+    @needs_numpy  # ScenarioSpec draws photo metadata through numpy
     def test_table1_photos(self):
         from repro.experiments.config import ScenarioSpec
 
@@ -163,11 +175,95 @@ class TestPrefilterMatchesTheScan:
         assert covering > 0
 
 
+def radian_photo(x, y, orientation, fov, coverage_range):
+    """A photo with its angles given in radians, unrounded."""
+    return Photo(
+        metadata=PhotoMetadata(
+            location=Point(x, y),
+            coverage_range=coverage_range,
+            field_of_view=fov,
+            orientation=orientation,
+        )
+    )
+
+
+def agree(pois, photo):
+    """The index's incidences, after checking them against the scan."""
+    found = CoverageIndex(pois).incidences(photo)
+    assert exact(found) == exact(reference_incidences(pois, photo))
+    return found
+
+
+class TestInlineSectorKernel:
+    APEX = Point(10.0, 20.0)
+
+    @pytest.mark.parametrize(
+        "poi_bearing, orientation",
+        [(2.0, 1.5), (2.0, 2.5), (0.1, 6.0), (6.1, 0.2), (math.pi, math.pi / 2.0)],
+    )
+    def test_field_of_view_edge_and_one_ulp_either_side(self, poi_bearing, orientation):
+        """The PoI's angular distance from the orientation is exactly
+        ``fov / 2 + 1e-12``: covered, as ``Sector.contains`` has it.  A field
+        of view one ulp narrower or wider moves that edge one ulp inside or
+        outside the PoI."""
+        x, y = self.APEX.x, self.APEX.y
+        # Bearings run clockwise from east, so planar y goes down.
+        poi = Point(x + 80.0 * math.cos(poi_bearing), y - 80.0 * math.sin(poi_bearing))
+        distance = angle_difference(self.APEX.bearing_to(poi), orientation)
+        fov = 2.0 * (distance - 1e-12)
+        for _ in range(64):
+            edge = fov / 2.0 + 1e-12
+            if edge == distance:
+                break
+            fov = math.nextafter(fov, math.inf if edge < distance else -math.inf)
+        assert fov / 2.0 + 1e-12 == distance
+        pois = PoIList.from_points([poi])
+        covered = [
+            bool(agree(pois, radian_photo(x, y, orientation, width, 100.0)))
+            for width in (math.nextafter(fov, 0.0), fov, math.nextafter(fov, math.inf))
+        ]
+        assert covered == [False, True, True]
+
+    @pytest.mark.parametrize("turns", [-3, -2, -1, 0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_orientations_at_multiples_of_two_pi(self, turns, nudge):
+        """``Sector`` normalizes the orientation before comparing; a PoI
+        ring all round the camera tells every reduction apart."""
+        orientation = turns * TWO_PI
+        if nudge:
+            orientation = math.nextafter(orientation, nudge * math.inf)
+        x, y = self.APEX.x, self.APEX.y
+        ring = [
+            Point(x + 50.0 * math.cos(angle), y - 50.0 * math.sin(angle))
+            for angle in (i * TWO_PI / 72.0 for i in range(72))
+        ]
+        pois = PoIList.from_points(ring)
+        found = agree(pois, radian_photo(x, y, orientation, math.radians(60.0), 100.0))
+        assert 0 < len(found) < len(ring)
+
+    def test_pois_on_the_rim_inside_the_field_of_view(self):
+        """``hypot(dx, dy) == r`` exactly (a 3-4-5 triangle) is covered, and
+        a range one ulp shorter drops it."""
+        x, y = self.APEX.x, self.APEX.y
+        rim = [Point(x + 3.0, y - 4.0), Point(x - 4.0, y + 3.0), Point(x + 5.0, y)]
+        pois = PoIList.from_points(rim)
+        for poi_id, poi in enumerate(rim):
+            bearing = self.APEX.bearing_to(poi)
+            photo = radian_photo(x, y, bearing, math.radians(40.0), 5.0)
+            found = agree(pois, photo)
+            assert [pid for pid, _ in found] == [poi_id]
+            assert found[0][1] == poi.bearing_to(self.APEX)
+            shorter = radian_photo(x, y, bearing, math.radians(40.0), math.nextafter(5.0, 0.0))
+            assert agree(pois, shorter) == []
+
+
 class TestGridPickling:
     def test_grid_is_rebuilt_not_pickled(self):
         pois = PoIList.from_points([Point(10.0, 10.0), Point(-300.0, 260.0)])
         index = CoverageIndex(pois)
-        assert "_grid" not in index.__getstate__()
+        index.incidences(make_photo(0.0, 0.0, 45.0, coverage_range=100.0))
+        state = index.__getstate__()
+        assert "_grid" not in state and "_box_candidates" not in state
         restored = pickle.loads(pickle.dumps(index))
         photo = make_photo(-350.0, 260.0, 0.0, coverage_range=100.0)
         assert exact(restored.incidences(photo)) == exact(reference_incidences(pois, photo))

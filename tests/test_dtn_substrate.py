@@ -168,6 +168,17 @@ def test_arrival_lane_pops_in_single_heap_order(arrival_times, steps):
 
 
 class TestNodeStorage:
+    def test_newest_ids_are_the_last_stored_in_order(self):
+        storage = NodeStorage(None)
+        photos = [make_photo(i, 0, 0) for i in range(5)]
+        for photo in photos:
+            storage.add(photo)
+        storage.remove(photos[3].photo_id)
+        ids = [p.photo_id for p in photos]
+        assert storage.newest_ids(0) == []
+        assert storage.newest_ids(2) == [ids[2], ids[4]]
+        assert storage.newest_ids(9) == [ids[0], ids[1], ids[2], ids[4]]
+
     def test_add_and_remove(self):
         storage = NodeStorage(10 * MB)
         photo = make_photo(0, 0, 0, size_bytes=4 * MB)

@@ -27,7 +27,6 @@ Everything in this module except the cases that call
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
 from typing import Sequence
@@ -50,11 +49,7 @@ from repro.core.expected_coverage import (
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
 
-from helpers import photo_at_aspect
-
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None, reason="numpy not installed"
-)
+from helpers import needs_numpy, photo_at_aspect
 
 THETA = math.radians(30.0)
 

@@ -163,6 +163,39 @@ class TestServiceSessionBasics:
         assert '"our-scheme"' in text
 
 
+class TestUplinkReply:
+    """An uplink reports the photos it delivered: the set difference of the
+    center's storage before and after it, in delivery order."""
+
+    @staticmethod
+    def oracle_select(session, node_id, now, duration):
+        center = session.simulation.command_center
+        before = set(center.storage.photo_ids())
+        outcome = session.select_on_contact(node_id, now, duration)
+        delivered = [pid for pid in center.storage.photo_ids() if pid not in before]
+        assert outcome.delivered_photo_ids == delivered
+        assert outcome.delivered_total == len(center.storage)
+        return outcome
+
+    def test_best_possible_after_thousands_of_deliveries(self, pois):
+        config = SimulationConfig(storage_bytes=None, unlimited_contacts=True)
+        session = ServiceSession("best-possible", pois, config)
+        for i in range(3000):
+            session.ingest(1 + i % 3, make_photo(owner_id=1 + i % 3), now=float(i))
+        session.contact(1, 2, now=3000.0, duration=60.0)
+        first = self.oracle_select(session, 1, now=3001.0, duration=60.0)
+        assert len(first.delivered_photo_ids) == 2000
+        now = 3002.0
+        for round_ in range(5):
+            for owner in (1, 3):
+                session.ingest(owner, make_photo(owner_id=owner, x=356.0, y=376.0), now=now)
+            session.contact(2, 3, now=now + 1.0, duration=60.0)
+            self.oracle_select(session, 1 + round_ % 3, now=now + 2.0, duration=60.0)
+            now += 3.0
+        self.oracle_select(session, 1, now=now, duration=60.0)
+        assert self.oracle_select(session, 1, now=now, duration=60.0).delivered_photo_ids == []
+
+
 class TestClampTimePolicy:
     def test_strict_is_the_default(self, pois):
         session = ServiceSession("our-scheme", pois)
