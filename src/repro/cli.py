@@ -498,15 +498,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .loadgen.report import build_load_report, describe_result
     from .obs.manifest import write_manifest
 
-    try:
-        plan = resolve_plan(args.plan)
-    except ValueError as exc:
-        print(f"invalid plan: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        plan = replace(plan, seed=args.seed)
-    if args.duration_scale != 1.0:
-        plan = plan.scaled(args.duration_scale)
     slo_overrides = {
         key: value
         for key, value in (
@@ -516,10 +507,19 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
         if value is not None
     }
-    if slo_overrides:
-        plan = replace(plan, slo=replace(plan.slo, **slo_overrides))
-    if args.kill_every is not None:
-        plan = replace(plan, chaos=replace(plan.chaos, kill_every_s=args.kill_every))
+    try:
+        plan = resolve_plan(args.plan)
+        if args.seed is not None:
+            plan = replace(plan, seed=args.seed)
+        if args.duration_scale != 1.0:
+            plan = plan.scaled(args.duration_scale)
+        if slo_overrides:
+            plan = replace(plan, slo=replace(plan.slo, **slo_overrides))
+        if args.kill_every is not None:
+            plan = replace(plan, chaos=replace(plan.chaos, kill_every_s=args.kill_every))
+    except ValueError as exc:
+        print(f"invalid plan: {exc}", file=sys.stderr)
+        return 2
 
     host, _, port_text = args.target.rpartition(":")
     try:

@@ -12,8 +12,9 @@ while nodes crash and clients vanish mid-request?
 * :mod:`~repro.loadgen.arrivals` -- seeded open-loop arrival processes
   (steady Poisson, Lewis-thinned ramps, Poisson-cluster bursts with
   spatial epicenters);
-* :mod:`~repro.loadgen.workload` -- synthetic Table I ops (stdlib-only)
-  or replayed scenario traces as the op source;
+* :mod:`~repro.loadgen.workload` -- synthetic ops, with photos drawn
+  from the Table I distribution by
+  :class:`~repro.workload.photos.PhotoGenerator`;
 * :mod:`~repro.loadgen.driver` -- the asyncio driver: paced producer,
   N connection-owning workers, per-second achieved-vs-offered sampling,
   exact op accounting, client-side connection-kill chaos;
@@ -43,7 +44,7 @@ from .plan import (
     resolve_plan,
 )
 from .report import build_load_report, describe_result, evaluate_slo
-from .workload import ReplayWorkload, SyntheticWorkload, make_workload
+from .workload import SyntheticWorkload, make_workload
 
 __all__ = [
     "Arrival",
@@ -69,7 +70,6 @@ __all__ = [
     "build_load_report",
     "describe_result",
     "evaluate_slo",
-    "ReplayWorkload",
     "SyntheticWorkload",
     "make_workload",
 ]

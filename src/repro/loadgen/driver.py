@@ -20,8 +20,7 @@ accounting is exact: every scheduled op ends in exactly one of
 ``ok`` / ``service_error`` / ``timeout`` / ``connection_error`` /
 ``killed``, and the chaos-soak test asserts that identity.
 
-Everything runs on one event loop -- counters need no locks, and the
-whole driver is standard library only.
+Everything runs on one event loop, so counters need no locks.
 """
 
 from __future__ import annotations
@@ -144,7 +143,6 @@ class LoadResult:
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     server_stats: Optional[Dict[str, Any]] = None
     wall_duration_s: float = 0.0
-    trace_exhausted: bool = False
 
     def __post_init__(self) -> None:
         self.op_latency = self.registry.histogram(
@@ -265,7 +263,6 @@ class _Driver:
         self.conns: List[_Conn] = []
         self.kills: List[_KillSchedule] = []
         self.virtual_base = 0.0
-        self.trace_exhausted = False
 
     def _conn(self, index: int) -> Tuple[_Conn, _KillSchedule]:
         """Worker *index*'s connection and kill schedule (persist across stages)."""
@@ -278,8 +275,6 @@ class _Driver:
         started = time.perf_counter()
         try:
             for stage in self.plan.stages:
-                if self.trace_exhausted:
-                    break
                 self.progress(
                     f"stage {stage.name}: {stage.process} "
                     f"{stage.rate:g}/s x {stage.duration_s:g}s "
@@ -299,7 +294,6 @@ class _Driver:
             for conn in self.conns:
                 conn.abort()
         self.result.wall_duration_s = time.perf_counter() - started
-        self.result.trace_exhausted = self.trace_exhausted
         return self.result
 
     async def _run_stage(self, stage: LoadStage) -> StageResult:
@@ -324,9 +318,6 @@ class _Driver:
                     self.virtual_base + arrival.offset_s * self.plan.time_scale
                 )
                 op = self.workload.make_op(arrival, virtual_now, stage.mix)
-                if op is None:
-                    self.trace_exhausted = True
-                    break
                 stage_result.offered += 1
                 queue.put_nowait((op, deadline))
             queue.put_nowait(_SENTINEL)

@@ -1,9 +1,9 @@
 """Load plans: the declarative description of one load-generation run.
 
 A :class:`LoadPlan` is a list of :class:`LoadStage` entries executed in
-order -- the classic ramp/hold/drain shape -- plus the workload source
-(synthetic arrival processes or a replayed scenario trace), the SLO
-thresholds the run is gated on, and an optional client-side chaos spec.
+order -- the classic ramp/hold/drain shape -- plus the synthetic
+workload's shape, the SLO thresholds the run is gated on, and an
+optional client-side chaos spec.
 Plans round-trip through JSON (``LoadPlan.to_dict`` /
 ``LoadPlan.from_dict``), ship with two built-ins (``smoke`` for CI,
 ``soak`` for longer chaos runs), and are validated eagerly at
@@ -159,13 +159,6 @@ class LoadStage:
             return self.rate_start + (self.rate - self.rate_start) * fraction
         return self.rate
 
-    def expected_arrivals(self) -> float:
-        """The stage's expected open-loop arrival count."""
-        if self.process == "ramp":
-            assert self.rate_start is not None
-            return 0.5 * (self.rate_start + self.rate) * self.duration_s
-        return self.rate * self.duration_s
-
 
 @dataclass(frozen=True)
 class SLOSpec:
@@ -223,31 +216,19 @@ class ChaosSpec:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Where the ops come from and what they look like.
+    """What the synthetic ops look like.
 
-    ``synthetic`` draws users, photos, and contacts from seeded stdlib
-    streams (numpy-free, so the generator runs on the pure-python leg);
-    ``replay`` feeds a built scenario's event stream in simulator order,
-    with the stage rates acting as the replay rate multiplier (the trace
-    supplies *what*, the stage supplies *how fast*).
+    Users are drawn from ``1..users``; photos follow Table I over a
+    ``region_m`` square (:class:`~repro.workload.photos.PhotoGenerator`).
     """
 
-    source: str = "synthetic"
     users: int = 50
     region_m: float = 1500.0
     photo_size_bytes: int = 4 * 1024 * 1024
     contact_duration_s: float = 300.0
     select_duration_s: float = 600.0
-    # replay-only knobs (must match the target server's world):
-    trace_name: str = "mit"
-    scale: float = 0.05
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.source not in ("synthetic", "replay"):
-            raise ValueError(
-                f"workload source must be 'synthetic' or 'replay', got {self.source!r}"
-            )
         if self.users < 2:
             raise ValueError(f"workload needs >= 2 users, got {self.users}")
         _check_positive("workload.region_m", self.region_m)
@@ -264,7 +245,7 @@ class LoadPlan:
     """The full description of one load-generation run.
 
     ``time_scale`` maps wall seconds to virtual (request-timestamp)
-    seconds for synthetic workloads -- 60 means one wall second advances
+    seconds -- 60 means one wall second advances
     the service world by a virtual minute, so contact durations measured
     in virtual minutes stay meaningful at wall-clock request rates.
     """
@@ -286,6 +267,8 @@ class LoadPlan:
         names = [stage.name for stage in self.stages]
         if len(set(names)) != len(names):
             raise ValueError(f"stage names must be unique, got {names}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         _check_positive("op_timeout_s", self.op_timeout_s)
         _check_positive("time_scale", self.time_scale)
 
@@ -331,9 +314,6 @@ class LoadPlan:
             for stage in self.stages
         )
         return replace(self, stages=stages)
-
-    def total_duration_s(self) -> float:
-        return sum(stage.duration_s for stage in self.stages)
 
 
 def _stage_from_dict(entry: Dict[str, Any]) -> LoadStage:

@@ -67,7 +67,6 @@ def build_load_report(result: LoadResult) -> Dict[str, Any]:
         "plan": result.plan.to_dict(),
         "target": {"host": result.host, "port": result.port},
         "wall_duration_s": result.wall_duration_s,
-        "trace_exhausted": result.trace_exhausted,
         "stages": [stage.as_dict() for stage in result.stages],
         "ops": result.op_quantiles(),
         "accounting": result.accounting.as_dict(),

@@ -1,47 +1,37 @@
 """Turning arrivals into service requests.
 
-Two op sources share one interface (``make_op(arrival, virtual_now,
-mix)`` returning a wire-ready request dict):
+:class:`SyntheticWorkload` turns each arrival into one wire-ready request
+dict (``make_op(arrival, virtual_now, mix)``), drawing users and
+contacts from a seeded ``random.Random`` stream and photos from
+:class:`~repro.workload.photos.PhotoGenerator`, so their metadata follows
+the paper's Table I distribution exactly as the simulator's does.  Burst
+arrivals carry an incident epicenter; their photos keep the drawn
+metadata but are moved to a Gaussian location around it, which is what
+makes chaos-soak coverage climb locally the way event-reporting
+crowdsourcing does.
 
-* :class:`SyntheticWorkload` draws users, photos, and contacts from
-  seeded stdlib streams.  Photo metadata follows the paper's Table I
-  ranges (field of view uniform in [30, 60] degrees, range scale uniform
-  in [50, 100] m, orientation uniform over the circle, 4 MB payload) --
-  the same distributions :class:`~repro.workload.photos.PhotoGenerator`
-  samples with numpy, re-derived here with ``random.Random`` so the load
-  generator stays dependency-free.  Burst arrivals carry an incident
-  epicenter; their photos are Gaussian-clustered around it, which is what
-  makes chaos-soak coverage climb locally the way event-reporting
-  crowdsourcing does.
-
-* :class:`ReplayWorkload` feeds a built scenario's event stream in
-  simulator order (via :func:`~repro.service.client.iter_scenario_events`),
-  so the stage rates act as a trace rate multiplier.  Replay ops ignore
-  the stage mix -- the trace already fixes what happens when.
+Faithful replay of a scenario's event stream is ``repro replay``
+(:func:`repro.service.client.replay_scenario`), not a load plan.
 
 Virtual time: requests carry ``time`` stamps in *virtual seconds*
-(`wall offset x plan.time_scale` for synthetic, the trace's own clock
-for replay).  Concurrent workers can deliver these slightly out of
-order, which is exactly what the server's ``clamp`` time policy absorbs.
+(wall offset x ``plan.time_scale``).  Concurrent workers can deliver
+these slightly out of order, which is exactly what the server's
+``clamp`` time policy absorbs.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Any, Dict, Iterator, Optional
+from dataclasses import replace
+from typing import Any, Dict
 
 from ..core.geometry import Point
-from ..core.metadata import Photo, PhotoMetadata
 from ..service.protocol import photo_to_wire
-from .arrivals import Arrival
+from ..workload.photos import PhotoGenerator, PhotoGeneratorSpec
+from .arrivals import Arrival, Incident
 from .plan import LoadPlan, StageMix, WorkloadSpec
 
-__all__ = ["SyntheticWorkload", "ReplayWorkload", "make_workload"]
-
-# Table I metadata ranges (degrees / meters), as in repro.workload.photos.
-_FOV_DEG = (30.0, 60.0)
-_RANGE_SCALE_M = (50.0, 100.0)
+__all__ = ["SyntheticWorkload", "make_workload"]
 
 
 class SyntheticWorkload:
@@ -54,52 +44,39 @@ class SyntheticWorkload:
     def __init__(self, spec: WorkloadSpec, seed: int, cluster_radius_m: float = 150.0) -> None:
         self.spec = spec
         self.rng = random.Random(f"{seed}:loadgen-workload")
+        self.photos = PhotoGenerator(
+            PhotoGeneratorSpec(
+                region_width_m=spec.region_m,
+                region_height_m=spec.region_m,
+                photo_size_bytes=spec.photo_size_bytes,
+            ),
+            seed=seed,
+        )
         self.cluster_radius_m = cluster_radius_m
-        self.photos_built = 0
 
     def _pick_user(self) -> int:
         return self.rng.randint(1, self.spec.users)
 
-    def _photo_location(self, arrival: Arrival) -> Point:
+    def _near(self, incident: Incident) -> Point:
+        """A Gaussian location around *incident*, clipped to the region."""
         region = self.spec.region_m
-        if arrival.incident is not None:
-            # Burst photos cluster around the incident epicenter.
-            cx = arrival.incident.x * region
-            cy = arrival.incident.y * region
-            sigma = self.cluster_radius_m
-            x = min(max(self.rng.gauss(cx, sigma), 0.0), region)
-            y = min(max(self.rng.gauss(cy, sigma), 0.0), region)
-            return Point(x, y)
-        return Point(self.rng.uniform(0.0, region), self.rng.uniform(0.0, region))
+        sigma = self.cluster_radius_m
+        x = min(max(self.rng.gauss(incident.x * region, sigma), 0.0), region)
+        y = min(max(self.rng.gauss(incident.y * region, sigma), 0.0), region)
+        return Point(x, y)
 
-    def _build_photo(self, arrival: Arrival, owner_id: int, taken_at: float) -> Photo:
-        rng = self.rng
-        fov = math.radians(rng.uniform(*_FOV_DEG))
-        metadata = PhotoMetadata.from_camera(
-            location=self._photo_location(arrival),
-            field_of_view=fov,
-            orientation=rng.uniform(0.0, 2.0 * math.pi),
-            range_scale=rng.uniform(*_RANGE_SCALE_M),
-        )
-        self.photos_built += 1
-        return Photo(
-            metadata=metadata,
-            size_bytes=self.spec.photo_size_bytes,
-            taken_at=taken_at,
-            owner_id=owner_id,
-        )
-
-    def make_op(
-        self, arrival: Arrival, virtual_now: float, mix: StageMix
-    ) -> Optional[Dict[str, Any]]:
-        """One wire-ready request dict (never ``None`` for synthetic)."""
+    def make_op(self, arrival: Arrival, virtual_now: float, mix: StageMix) -> Dict[str, Any]:
+        """One wire-ready request dict."""
         ingest_w, contact_w, _ = mix.normalized()
         draw = self.rng.random()
         if draw < ingest_w or arrival.incident is not None:
             # Incident arrivals are always photo reports: bursts model
             # witnesses photographing the event.
             owner = self._pick_user()
-            photo = self._build_photo(arrival, owner, virtual_now)
+            photo = self.photos.next_photo(taken_at=virtual_now, owner_id=owner)
+            if arrival.incident is not None:
+                location = self._near(arrival.incident)
+                photo = replace(photo, metadata=replace(photo.metadata, location=location))
             return {
                 "op": "ingest",
                 "user": owner,
@@ -126,68 +103,8 @@ class SyntheticWorkload:
         }
 
 
-class ReplayWorkload:
-    """A built scenario's event stream as an op source.
-
-    Exhausting the trace ends the run early (the driver stops scheduling
-    arrivals once :meth:`make_op` returns ``None``).  Replay preserves
-    simulator event order, so it pairs naturally with ``concurrency=1``
-    stages -- with more workers the server's ``clamp`` policy absorbs
-    socket-level reordering at the cost of strict byte-identity.
-    """
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        from ..experiments.config import ScenarioSpec
-        from ..service.client import iter_scenario_events
-
-        self.spec = spec
-        scenario = ScenarioSpec(
-            trace_name=spec.trace_name, scale=spec.scale, seed=spec.seed
-        ).build()
-        self._events: Iterator[Any] = iter_scenario_events(scenario)
-        self._kinds = _event_kinds()
-
-    def make_op(
-        self, arrival: Arrival, virtual_now: float, mix: StageMix
-    ) -> Optional[Dict[str, Any]]:
-        """The next trace event as a request; ``None`` when exhausted.
-
-        The request ``time`` is the *trace's* clock, not the stage's --
-        the arrival schedule only decides how fast the stream is fed.
-        """
-        photo_created, contact = self._kinds
-        for event in self._events:
-            if event.kind == photo_created:
-                owner_id, photo = event.payload
-                return {
-                    "op": "ingest",
-                    "user": owner_id,
-                    "time": event.time,
-                    "photo": photo_to_wire(photo),
-                }
-            if event.kind == contact:
-                node_a, node_b, duration = event.payload[:3]
-                return {
-                    "op": "contact",
-                    "a": node_a,
-                    "b": node_b,
-                    "time": event.time,
-                    "duration": duration,
-                }
-            # Other event kinds (none today) are skipped.
-        return None
-
-
-def _event_kinds():
-    from ..dtn.events import EventKind
-
-    return EventKind.PHOTO_CREATED, EventKind.CONTACT
-
-
-def make_workload(plan: LoadPlan):
-    """The op source a plan asks for."""
-    if plan.workload.source == "replay":
-        return ReplayWorkload(plan.workload)
+def make_workload(plan: LoadPlan) -> SyntheticWorkload:
+    """The op source for *plan*, clustering bursts as its first bursty stage asks."""
     radius = 150.0
     for stage in plan.stages:
         if stage.burst is not None:

@@ -29,6 +29,7 @@ from .client import (
     http_get,
     iter_scenario_events,
     replay_scenario,
+    scenario_requests,
 )
 from .persistence import (
     FSYNC_POLICIES,
@@ -92,4 +93,5 @@ __all__ = [
     "http_get",
     "iter_scenario_events",
     "replay_scenario",
+    "scenario_requests",
 ]

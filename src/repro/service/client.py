@@ -7,13 +7,15 @@ connect-with-retry so it can race a server that is still booting);
 **simulator event order** -- :func:`iter_scenario_events` builds the
 :class:`~repro.dtn.events.EventQueue` ``Simulation`` would use (photo
 arrivals as its lane, contacts pushed in trace order with the duration
-cap applied; ties break by event-kind priority then push sequence), so
+cap applied; ties break by event-kind priority then push sequence), and
+:func:`scenario_requests` turns those events into the wire requests, so
 the server's world receives the same event stream ``Simulation.run()``
 processes and its selections are byte-identical to the simulator's.
 """
 
 from __future__ import annotations
 
+import itertools
 import socket
 import time
 from dataclasses import dataclass, field
@@ -28,6 +30,7 @@ __all__ = [
     "ServiceClient",
     "http_get",
     "iter_scenario_events",
+    "scenario_requests",
     "ReplayReport",
     "replay_scenario",
 ]
@@ -149,9 +152,6 @@ class ServiceClient:
     def stats(self) -> Dict[str, Any]:
         return self.request("stats")
 
-    def metrics_text(self) -> str:
-        return self.request("metrics")["text"]
-
     def shutdown(self) -> Dict[str, Any]:
         return self.request("shutdown")
 
@@ -226,6 +226,32 @@ def iter_scenario_events(scenario) -> Iterator[Event]:
         yield queue.pop()
 
 
+def scenario_requests(scenario) -> Iterator[Dict[str, Any]]:
+    """The scenario's ``ingest``/``contact`` requests, in simulator order.
+
+    One wire-ready request dict per :func:`iter_scenario_events` event;
+    :func:`replay_scenario` sends exactly these.
+    """
+    for event in iter_scenario_events(scenario):
+        if event.kind == EventKind.PHOTO_CREATED:
+            owner_id, photo = event.payload
+            yield {
+                "op": "ingest",
+                "user": owner_id,
+                "time": event.time,
+                "photo": photo_to_wire(photo),
+            }
+        else:
+            node_a, node_b, duration = event.payload[:3]
+            yield {
+                "op": "contact",
+                "a": node_a,
+                "b": node_b,
+                "time": event.time,
+                "duration": duration,
+            }
+
+
 def _format_ms(seconds: Optional[float]) -> str:
     """A latency quantile in ms; ``n/a`` for the ``None`` of an empty series."""
     return "n/a" if seconds is None else f"{seconds * 1000.0:.2f}ms"
@@ -288,9 +314,10 @@ def replay_scenario(
     shutdown: bool = False,
     progress: Optional[Any] = None,
 ) -> ReplayReport:
-    """Feed *scenario*'s event stream through a live server.
+    """Send *scenario*'s :func:`scenario_requests` through a live server.
 
-    *limit* truncates the stream (CI smoke uses a short prefix); *skip*
+    The requests sent are the slice ``[skip, skip + limit)`` of the
+    stream.  *limit* truncates it (CI smoke uses a short prefix); *skip*
     drops the first N events without sending them -- how a replay resumes
     against a durable server that already recovered those events from
     its write-ahead log (``--limit N`` then, after the restart,
@@ -299,27 +326,20 @@ def replay_scenario(
     *progress*, if given, is called with the running event count every
     500 events.
     """
+    if skip < 0 or (limit is not None and limit < 0):
+        raise ValueError(f"skip and limit must be non-negative, got {skip} and {limit}")
     report = ReplayReport()
-    skipped = 0
-    for event in iter_scenario_events(scenario):
-        if skipped < skip:
-            skipped += 1
-            continue
-        if limit is not None and report.events >= limit:
-            break
+    stop = None if limit is None else skip + limit
+    for request in itertools.islice(scenario_requests(scenario), skip, stop):
+        response = client.request(**request)
         report.events += 1
-        if event.kind == EventKind.PHOTO_CREATED:
-            owner_id, photo = event.payload
-            client.ingest(owner_id, photo, event.time)
+        if request["op"] == "ingest":
             report.photos += 1
+        elif response.get("kind") == "selection":
+            report.selections += 1
+            report.delivered_photo_ids.extend(response.get("delivered", ()))
         else:
-            node_a, node_b, duration = event.payload[:3]
-            response = client.contact(node_a, node_b, event.time, duration)
-            if response.get("kind") == "selection":
-                report.selections += 1
-                report.delivered_photo_ids.extend(response.get("delivered", ()))
-            else:
-                report.contacts += 1
+            report.contacts += 1
         if progress is not None and report.events % 500 == 0:
             progress(report.events)
     report.coverage = client.coverage()["variants"]

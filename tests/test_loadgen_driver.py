@@ -10,7 +10,7 @@ The contracts under test:
 * the chaos soak -- client connection kills plus a server-side fault
   plan with live node churn -- completes with **zero** unhandled server
   errors and consistent client accounting;
-* the replay workload feeds trace events through the driver.
+* a bursty stage's clustered Table I photos are served without errors.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ from repro.core.poi import PoIList
 from repro.dtn.faults import FaultPlan
 from repro.dtn.simulator import SimulationConfig
 from repro.loadgen import (
+    BurstSpec,
     ChaosSpec,
     LoadPlan,
     LoadStage,
     SLOSpec,
     WorkloadSpec,
     run_load,
+    stage_arrivals,
 )
 from repro.loadgen.report import build_load_report, describe_result, evaluate_slo
 from repro.obs.manifest import ManifestError, load_manifest, validate_manifest
@@ -227,31 +229,22 @@ class TestChaosSoak:
             assert internal_errors(server) == 0.0
 
 
-class TestReplayWorkload:
-    def test_replay_feeds_trace_events_through_the_driver(self):
-        from repro.experiments.config import ScenarioSpec
-
-        spec = ScenarioSpec(trace_name="mit", scale=0.05, seed=0)
-        scenario = spec.build()
-        plan = LoadPlan(
-            name="replay-test",
-            seed=0,
-            stages=(
-                LoadStage(name="feed", duration_s=1.0, rate=150.0, concurrency=1),
-            ),
-            workload=WorkloadSpec(
-                source="replay", trace_name="mit", scale=0.05, seed=0
-            ),
+class TestBurstyPhotos:
+    def test_burst_photos_are_served_without_errors(self, pois):
+        stage = LoadStage(
+            name="burst", duration_s=1.0, process="bursty", rate=40.0,
+            concurrency=2, burst=BurstSpec(share=0.8, size_mean=8.0, duration_s=0.5),
+        )
+        plan = quick_plan(
+            stages=(stage,),
             slo=SLOSpec(max_p99_s=None, max_error_rate=None, min_rate_attainment=None),
         )
-        with running_server(
-            pois=scenario.pois, config=scenario.config, time_policy="strict"
-        ) as server:
+        bursts = [a for a in stage_arrivals(stage, plan.seed) if a.incident is not None]
+        assert bursts, "the stage must draw incident bursts"
+        with running_server(pois=pois) as server:
             result = run_load(plan, *server.address)
+            assert internal_errors(server) == 0.0
         acct = result.accounting
         assert acct.consistent()
-        assert acct.ok > 0
-        # Single worker preserves simulator order, so strict time passed.
-        assert acct.service_error == 0
-        stats = result.server_stats
-        assert stats["variants"]["champion"]["requests"] == acct.ok
+        assert acct.service_error == 0 and acct.failed == 0
+        assert result.op_quantiles()["ingest"]["count"] >= len(bursts)

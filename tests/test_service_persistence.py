@@ -501,7 +501,7 @@ class TestServerPersistenceIntegration:
         with running_server(pois=pois, persistence=persistence) as server:
             with ServiceClient(*server.address) as client:
                 client.ingest(1, make_photo(owner_id=1), now=0.0)
-                text = client.metrics_text()
+                text = client.request("metrics")["text"]
         assert 'repro_service_wal_appends_total{variant="champion"} 1' in text
         assert "repro_service_wal_bytes_total" in text
         assert "repro_service_recovery_seconds" in text
