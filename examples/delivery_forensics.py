@@ -22,13 +22,14 @@ from repro.workload.photos import PhotoArrival
 MB = 1024 * 1024
 
 
-def photo_of(target: Point, aspect_deg: float, taken_at: float):
+def photo_of(target: Point, aspect_deg: float, photo_id: int, taken_at: float):
     from repro.core.metadata import Photo, PhotoMetadata
 
     aspect = math.radians(aspect_deg)
     camera = Point(target.x + 60.0 * math.cos(aspect), target.y - 60.0 * math.sin(aspect))
     return Photo(
         metadata=PhotoMetadata(camera, 120.0, math.radians(45.0), camera.bearing_to(target)),
+        photo_id=photo_id,
         taken_at=taken_at,
     )
 
@@ -44,10 +45,10 @@ def main() -> None:
         ContactRecord(4000.0, 1, 2, 300.0),
     ]
     photos = {
-        "east-view": photo_of(target, 0.0, taken_at=0.0),
-        "north-view": photo_of(target, 270.0, taken_at=0.0),
-        "late-photo": photo_of(target, 90.0, taken_at=3500.0),  # after the uplink
-        "junk": photo_of(Point(9000.0, 9000.0), 0.0, taken_at=0.0),
+        "east-view": photo_of(target, 0.0, photo_id=0, taken_at=0.0),
+        "north-view": photo_of(target, 270.0, photo_id=1, taken_at=0.0),
+        "late-photo": photo_of(target, 90.0, photo_id=2, taken_at=3500.0),  # after the uplink
+        "junk": photo_of(Point(9000.0, 9000.0), 0.0, photo_id=3, taken_at=0.0),
     }
     arrivals = [
         PhotoArrival(photos["east-view"].taken_at, 1, photos["east-view"]),

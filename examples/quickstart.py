@@ -30,7 +30,7 @@ from repro.core import (
 MB = 1024 * 1024
 
 
-def photo_of(target: Point, aspect_deg: float, distance: float = 60.0) -> Photo:
+def photo_of(target: Point, aspect_deg: float, photo_id: int, distance: float = 60.0) -> Photo:
     """A 4 MB photo of *target* taken from the given aspect angle."""
     aspect = math.radians(aspect_deg)
     camera = Point(
@@ -44,6 +44,7 @@ def photo_of(target: Point, aspect_deg: float, distance: float = 60.0) -> Photo:
             field_of_view=math.radians(45.0),
             orientation=camera.bearing_to(target),
         ),
+        photo_id=photo_id,
         size_bytes=4 * MB,
     )
 
@@ -56,10 +57,10 @@ def main() -> None:
 
     # 2. Photos from the north, east, and two nearly identical south shots.
     photos = {
-        "east": photo_of(building, 0.0),
-        "north": photo_of(building, 270.0),
-        "south-1": photo_of(building, 90.0),
-        "south-2": photo_of(building, 95.0),  # nearly redundant with south-1
+        "east": photo_of(building, 0.0, photo_id=0),
+        "north": photo_of(building, 270.0, photo_id=1),
+        "south-1": photo_of(building, 90.0, photo_id=2),
+        "south-2": photo_of(building, 95.0, photo_id=3),  # nearly redundant with south-1
     }
     for name, photo in photos.items():
         value = index.collection_coverage([photo])

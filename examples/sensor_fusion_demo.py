@@ -48,7 +48,7 @@ def main() -> None:
     print(f"  median error: {errors[len(errors) // 2]:.1f} m, "
           f"95th percentile: {errors[int(0.95 * len(errors))]:.1f} m\n")
 
-    photo = acquisition.capture(truth, true_azimuth=math.radians(120.0), owner_id=1)
+    photo = acquisition.capture(truth, true_azimuth=math.radians(120.0), photo_id=0, owner_id=1)
     print("one end-to-end capture:")
     print(f"  measured location: ({photo.location.x:.1f}, {photo.location.y:.1f}) "
           f"(true: {truth.x:.0f}, {truth.y:.0f})")

@@ -31,11 +31,12 @@ from repro.core import (
 MB = 1024 * 1024
 
 
-def photo_of(target: Point, aspect_deg: float) -> Photo:
+def photo_of(target: Point, aspect_deg: float, photo_id: int) -> Photo:
     aspect = math.radians(aspect_deg)
     camera = Point(target.x + 60.0 * math.cos(aspect), target.y - 60.0 * math.sin(aspect))
     return Photo(
         metadata=PhotoMetadata(camera, 120.0, math.radians(45.0), camera.bearing_to(target)),
+        photo_id=photo_id,
         size_bytes=4 * MB,
     )
 
@@ -50,8 +51,8 @@ def select_one(index: CoverageIndex, photos) -> Photo:
 def main() -> None:
     shed = Point(0.0, 0.0)
     hospital = Point(500.0, 0.0)
-    shed_photo = photo_of(shed, 0.0)
-    hospital_photo = photo_of(hospital, 0.0)
+    shed_photo = photo_of(shed, 0.0, photo_id=0)
+    hospital_photo = photo_of(hospital, 0.0, photo_id=1)
 
     # --- 1. Weights ----------------------------------------------------
     equal = CoverageIndex(PoIList([PoI(location=shed), PoI(location=hospital)]),
@@ -60,8 +61,8 @@ def main() -> None:
         PoIList([PoI(location=shed, weight=1.0), PoI(location=hospital, weight=5.0)]),
         effective_angle=math.radians(30.0),
     )
-    # With equal weights the tie breaks by photo id (shed photo was created
-    # first); with the hospital weighted 5x, its photo wins the one slot.
+    # With equal weights the tie breaks by photo id (the shed photo's is
+    # lower); with the hospital weighted 5x, its photo wins the one slot.
     first_equal = select_one(equal, [shed_photo, hospital_photo])
     first_weighted = select_one(weighted, [shed_photo, hospital_photo])
     print("one storage slot, two candidate photos:")
@@ -75,8 +76,8 @@ def main() -> None:
         PoIList([PoI(location=shed, important_aspects=entrance_arcs)]),
         effective_angle=math.radians(30.0),
     )
-    east_view = photo_of(shed, 0.0)     # sees the entrance
-    back_view = photo_of(shed, 180.0)   # sees the back wall
+    east_view = photo_of(shed, 0.0, photo_id=2)     # sees the entrance
+    back_view = photo_of(shed, 180.0, photo_id=3)   # sees the back wall
     east_value = entrance_only.collection_coverage([east_view])
     back_value = entrance_only.collection_coverage([back_view])
     print("\nentrance-only PoI (aspects within 30 deg of east count):")

@@ -117,11 +117,6 @@ class AngularInterval:
         return cls(0.0, TWO_PI)
 
     @property
-    def end(self) -> float:
-        """End angle, normalized to ``[0, 2*pi)``."""
-        return normalize_angle(self.start + self.width)
-
-    @property
     def is_full(self) -> bool:
         return self.width >= TWO_PI
 
@@ -137,17 +132,6 @@ class AngularInterval:
         if offset < 0.0:
             offset += TWO_PI
         return offset <= self.width
-
-    def overlaps(self, other: "AngularInterval") -> bool:
-        """Whether the two arcs share at least one point."""
-        if self.is_full or other.is_full:
-            return not (self.is_empty or other.is_empty)
-        return (
-            self.contains(other.start)
-            or other.contains(self.start)
-            or self.contains(other.end)
-            or other.contains(self.end)
-        )
 
     def as_segments(self) -> List[Tuple[float, float]]:
         """The arc as 1 or 2 non-wrapping ``(lo, hi)`` segments in ``[0, 2*pi]``."""

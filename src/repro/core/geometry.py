@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from .angular import angle_difference, normalize_angle
 
@@ -49,12 +48,6 @@ class Point:
         angle grows clockwise (i.e. toward negative mathematical y).
         """
         return normalize_angle(math.atan2(-(other.y - self.y), other.x - self.x))
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.x, self.y)
 
 
 def distance(a: Point, b: Point) -> float:

@@ -9,9 +9,8 @@ pixels.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import Point, Sector, coverage_range_from_fov
@@ -20,8 +19,6 @@ __all__ = ["PhotoMetadata", "Photo", "DEFAULT_PHOTO_SIZE_BYTES"]
 
 #: Table I: every simulated photo is 4 MB.
 DEFAULT_PHOTO_SIZE_BYTES = 4 * 1024 * 1024
-
-_photo_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -90,19 +87,23 @@ class Photo:
     """A crowdsourced photo: metadata plus bookkeeping attributes.
 
     The pixel payload is never simulated; only ``size_bytes`` matters for
-    the storage and bandwidth constraints.  ``photo_id`` is globally unique
-    within a process so collections can be treated as sets of ids.
+    the storage and bandwidth constraints.  Collections are sets of
+    ``photo_id``: whatever makes the photo assigns it, so a run's ids
+    depend only on its inputs.  :class:`~repro.workload.photos.PhotoGenerator`
+    numbers its photos from 0 in draw order, the Fig. 3 demo numbers its
+    photos by dealing position, and a service client sends the id on the
+    wire.
 
     ``features`` optionally carries an application feature vector (the
     PhotoNet baseline uses a color-histogram surrogate).
     """
 
     metadata: PhotoMetadata
+    photo_id: int
     size_bytes: int = DEFAULT_PHOTO_SIZE_BYTES
     taken_at: float = 0.0
     owner_id: Optional[int] = None
     features: Optional[tuple] = None
-    photo_id: int = field(default_factory=lambda: next(_photo_ids))
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

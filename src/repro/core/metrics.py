@@ -8,8 +8,8 @@ set.  This module computes them from a photo collection:
 * per-PoI breakdown: covered?, covered degrees, number of covering photos;
 * *full-view* coverage: the fraction of PoIs whose aspects are completely
   covered (the ``2*pi`` criterion of Wang et al.);
-* *k-view* coverage: PoIs covered from at least ``k`` sufficiently
-  distinct directions;
+* distinct views: per PoI, how many sufficiently distinct directions
+  it is seen from;
 * redundancy: overlap between the aspect arcs of covering photos -- the
   quantity behind the paper's Section V-E "only 12 degrees of overlap"
   argument.
@@ -40,12 +40,6 @@ class PoICoverageReport:
     distinct_views: int
     overlap_deg: float
 
-    @property
-    def mean_overlap_per_photo_deg(self) -> float:
-        if self.covering_photos == 0:
-            return 0.0
-        return self.overlap_deg / self.covering_photos
-
 
 @dataclass(frozen=True)
 class CollectionReport:
@@ -59,15 +53,6 @@ class CollectionReport:
     mean_photos_per_covered_poi: float
     mean_overlap_deg: float        # mean arc overlap per covered PoI
     per_poi: Sequence[PoICoverageReport]
-
-    def k_view_fraction(self, k: int) -> float:
-        """Fraction of PoIs seen from at least *k* distinct directions."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if self.num_pois == 0:
-            return 0.0
-        hits = sum(1 for report in self.per_poi if report.distinct_views >= k)
-        return hits / self.num_pois
 
 
 def _distinct_views(directions: List[float], min_separation: float) -> int:

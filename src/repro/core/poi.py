@@ -94,8 +94,5 @@ class PoIList:
         """Sum of PoI weights -- the normalizer for point coverage."""
         return sum(poi.weight for poi in self._pois)
 
-    def locations(self) -> List[Point]:
-        return [poi.location for poi in self._pois]
-
     def __repr__(self) -> str:
         return f"PoIList(n={len(self._pois)})"

@@ -79,13 +79,6 @@ class NodeSelection:
     def total_bytes(self) -> int:
         return sum(photo.size_bytes for photo in self.photos)
 
-    @property
-    def total_gain(self) -> CoverageValue:
-        total = CoverageValue.ZERO
-        for gain in self.gains:
-            total = total + gain
-        return total
-
     def photo_ids(self) -> set:
         return {photo.photo_id for photo in self.photos}
 

@@ -102,13 +102,6 @@ class SimulationResult:
     def final_aspect_coverage_deg(self) -> float:
         return self.samples[-1].aspect_coverage_deg if self.samples else 0.0
 
-    def latency_percentile(self, q: float) -> float:
-        """The *q*-quantile (0..1) of taken-to-delivered latency, seconds.
-
-        Returns ``nan`` when nothing was delivered.
-        """
-        return nearest_rank(self.delivery_latencies_s, q)
-
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
     """The *q*-quantile (0..1) of *values* by the nearest-rank rule.

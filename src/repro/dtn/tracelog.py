@@ -3,8 +3,7 @@
 For debugging a scheme or auditing a result, a coverage curve is not
 enough -- you want to see *which* photo moved *where* and *why it was
 dropped*.  :class:`SimulationLog` is an opt-in recorder a scheme (or test)
-can attach to; it collects typed entries and can serialize them as JSON
-lines for external tooling.
+can attach to; it collects typed entries and answers queries over them.
 
 The built-in schemes do not log by default (hot path); the recorder is
 wired in by wrapping scheme callbacks via :func:`attach_logging`, which
@@ -14,10 +13,8 @@ every event without the schemes knowing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.telemetry import SimulationObserver
 from ..routing.base import RoutingScheme
@@ -35,18 +32,6 @@ class LogEntry:
     gained: Dict[int, List[int]]  # node -> photo ids gained
     lost: Dict[int, List[int]]  # node -> photo ids lost
     delivered: List[int]  # photo ids newly at the command center
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time": self.time,
-                "kind": self.kind,
-                "nodes": list(self.nodes),
-                "gained": {str(k): v for k, v in self.gained.items()},
-                "lost": {str(k): v for k, v in self.lost.items()},
-                "delivered": self.delivered,
-            }
-        )
 
 
 class SimulationLog:
@@ -90,13 +75,6 @@ class SimulationLog:
             if photo_id in entry.delivered:
                 path.append(0)
         return path
-
-    def write_jsonl(self, destination: Union[str, Path, TextIO]) -> None:
-        lines = "\n".join(entry.to_json() for entry in self.entries)
-        if isinstance(destination, (str, Path)):
-            Path(destination).write_text(lines + "\n", encoding="utf-8")
-        else:
-            destination.write(lines + "\n")
 
 
 class _LoggingScheme(RoutingScheme):

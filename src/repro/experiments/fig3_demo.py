@@ -19,7 +19,7 @@ geometry as Fig. 2(b).  The headline result to reproduce in shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.geometry import Point
@@ -140,9 +140,7 @@ def build_demo_photos(
         metadata.append(PhotoMetadata(viewpoint, coverage_range, fov, orientation))
     # Shuffle and deal 5 photos per participant so ring shots are spread
     # across owners, as in the paper's assignment.  The id is the dealing
-    # position, not the next value of the process-wide counter: PhotoNet
-    # hashes the id into its pseudo-colour, so the demo's result would
-    # otherwise depend on how many photos the process made before it.
+    # position.
     order = rng.permutation(total)
     dealt: List[PhotoArrival] = []
     for position, index in enumerate(order):
@@ -171,8 +169,7 @@ def build_demo_photos_with_sensors(
     error), and the coverage range follows r = c * cot(phi / 2).  Running
     the demo on these noisy tuples checks the paper's implicit claim that
     sensor-grade metadata is accurate enough for coverage-driven selection.
-    Each captured photo keeps its ideal photo's id, for the reason
-    :func:`build_demo_photos` gives.
+    Each captured photo keeps its ideal photo's id.
     """
     from ..sensors import CameraSpec, GpsSimulator, ImuSimulator, MetadataAcquisition
 
@@ -192,11 +189,11 @@ def build_demo_photos_with_sensors(
         measured = acquisition.capture(
             true_location=truth.location,
             true_azimuth=truth.orientation,
+            photo_id=arrival.photo.photo_id,
             taken_at=photo_time,
             owner_id=arrival.owner_id,
         )
-        photo = replace(measured, photo_id=arrival.photo.photo_id)
-        arrivals.append(PhotoArrival(time=photo_time, owner_id=arrival.owner_id, photo=photo))
+        arrivals.append(PhotoArrival(time=photo_time, owner_id=arrival.owner_id, photo=measured))
     return arrivals
 
 

@@ -35,10 +35,6 @@ class SchemeStatistics:
     ci_low: float
     ci_high: float
 
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
 
 @dataclass(frozen=True)
 class PairedComparison:
@@ -49,9 +45,6 @@ class PairedComparison:
     mean_difference: float  # a - b
     t_statistic: float
     p_value: float
-
-    def a_significantly_better(self, alpha: float = 0.05) -> bool:
-        return self.mean_difference > 0.0 and self.p_value < alpha
 
 
 def _collect(

@@ -186,9 +186,6 @@ class MetadataCache:
             telemetry.on_cache_event("miss_expired", expired)
         return valid
 
-    def known_nodes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._entries))
-
     def __len__(self) -> int:
         return len(self._entries)
 

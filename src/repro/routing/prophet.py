@@ -21,7 +21,7 @@ experiment parameter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 __all__ = ["ProphetParameters", "ProphetTable"]
 
@@ -120,6 +120,3 @@ class ProphetTable:
             if value > 0.0:
                 snapshot[dest_id] = value
         return snapshot
-
-    def known_destinations(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._predictability))

@@ -118,11 +118,12 @@ class MetadataAcquisition:
         self,
         true_location: Point,
         true_azimuth: float,
+        photo_id: int,
         taken_at: float = 0.0,
         owner_id: Optional[int] = None,
         size_bytes: int = DEFAULT_PHOTO_SIZE_BYTES,
     ) -> Photo:
-        """Take a photo: returns a :class:`Photo` with *measured* metadata."""
+        """Take photo *photo_id*: returns a :class:`Photo` with *measured* metadata."""
         measured_location = self.gps.fix(true_location)
         measured_azimuth = self.measure_orientation(true_azimuth, start_time=taken_at)
         metadata = PhotoMetadata(
@@ -133,6 +134,7 @@ class MetadataAcquisition:
         )
         return Photo(
             metadata=metadata,
+            photo_id=photo_id,
             size_bytes=size_bytes,
             taken_at=taken_at,
             owner_id=owner_id,

@@ -42,10 +42,6 @@ class ExponentialFit:
     ks_statistic: float
     ks_pvalue: float
 
-    @property
-    def mean_gap_s(self) -> float:
-        return 1.0 / self.rate_per_s if self.rate_per_s > 0.0 else math.inf
-
 
 def fit_pair_exponential(pair: Tuple[int, int], gaps: Sequence[float]) -> ExponentialFit:
     """Fit ``Exp(lambda)`` to one pair's gaps and KS-test the fit."""

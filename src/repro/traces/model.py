@@ -49,9 +49,6 @@ class ContactRecord:
     def pair(self) -> Tuple[int, int]:
         return (self.node_a, self.node_b)
 
-    def involves(self, node_id: int) -> bool:
-        return node_id in (self.node_a, self.node_b)
-
 
 class ContactTrace:
     """An immutable, time-sorted sequence of contacts."""
@@ -150,13 +147,6 @@ class ContactTrace:
             if total > 0.0:
                 rates[pair] = len(gaps) / total
         return rates
-
-    def contacts_per_node(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for contact in self._contacts:
-            counts[contact.node_a] = counts.get(contact.node_a, 0) + 1
-            counts[contact.node_b] = counts.get(contact.node_b, 0) + 1
-        return counts
 
     def mean_contact_duration(self) -> float:
         if not self._contacts:

@@ -11,7 +11,6 @@ import math
 
 import pytest
 
-from repro.core import metadata as metadata_module
 from repro.core.coverage_index import CoverageIndex
 from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
@@ -26,6 +25,15 @@ needs_numpy = pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None, reason="numpy not installed"
 )
 
+#: Ids for hand-built photos: distinct across the suite, so photos from
+#: different builders never collide in one collection.
+_hand_built_ids = itertools.count()
+
+
+def next_photo_id() -> int:
+    """A photo id no other hand-built test photo has."""
+    return next(_hand_built_ids)
+
 
 def make_photo(
     x: float,
@@ -36,6 +44,7 @@ def make_photo(
     size_bytes: int = 4 * MB,
     taken_at: float = 0.0,
     owner_id: int = None,
+    photo_id: int = None,
 ) -> Photo:
     """A photo at (x, y) pointing *orientation_deg* clockwise from east."""
     return Photo(
@@ -45,6 +54,7 @@ def make_photo(
             field_of_view=math.radians(fov_deg),
             orientation=math.radians(orientation_deg),
         ),
+        photo_id=next_photo_id() if photo_id is None else photo_id,
         size_bytes=size_bytes,
         taken_at=taken_at,
         owner_id=owner_id,
@@ -58,6 +68,7 @@ def photo_at_aspect(
     fov_deg: float = 60.0,
     coverage_range: float = 100.0,
     size_bytes: int = 4 * MB,
+    photo_id: int = None,
 ) -> Photo:
     """A photo viewing *poi* from the given aspect (degrees, clockwise from
     east): the camera stands on that side of the PoI and faces it."""
@@ -72,6 +83,7 @@ def photo_at_aspect(
             field_of_view=math.radians(fov_deg),
             orientation=orientation,
         ),
+        photo_id=next_photo_id() if photo_id is None else photo_id,
         size_bytes=size_bytes,
     )
 
@@ -151,18 +163,12 @@ DISRUPTION_PLAN = FaultPlan(
 )
 
 
-def build_scenario(monkeypatch, scale: float, fault_plan=None):
-    """The Table-I scenario at *scale*, seed 0, under *fault_plan*.
-
-    Photo ids restart at 0 first: they come from a process-wide counter,
-    and PhotoNet's pseudo-colour hashes the id, so a run's result would
-    otherwise depend on how many photos earlier tests created.
-    """
+def build_scenario(scale: float, fault_plan=None):
+    """The Table-I scenario at *scale*, seed 0, under *fault_plan*."""
     # Imported here: repro.experiments needs numpy, and every other helper
     # must stay importable by the core suites on a numpy-free interpreter.
     from repro.experiments.config import ScenarioSpec
 
-    monkeypatch.setattr(metadata_module, "_photo_ids", itertools.count())
     scenario = ScenarioSpec(scale=scale, seed=0).build()
     config = dataclasses.replace(scenario.config, fault_plan=fault_plan)
     return dataclasses.replace(scenario, config=config)

@@ -106,13 +106,6 @@ class TestAngularInterval:
         assert segments[0] == pytest.approx((TWO_PI - 0.2, TWO_PI))
         assert segments[1] == pytest.approx((0.0, 0.3))
 
-    def test_overlaps_adjacent(self):
-        a = AngularInterval(0.0, 1.0)
-        b = AngularInterval(0.5, 1.0)
-        c = AngularInterval(2.0, 0.5)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
     @given(intervals)
     def test_segments_measure_matches_width(self, arc):
         total = sum(hi - lo for lo, hi in arc.as_segments())

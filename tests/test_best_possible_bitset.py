@@ -77,8 +77,8 @@ def _run(scenario, scheme):
 
 
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
-def test_simulation_matches_the_set_oracle(monkeypatch, plan_name):
-    scenario = build_scenario(monkeypatch, 0.2, PLANS[plan_name])
+def test_simulation_matches_the_set_oracle(plan_name):
+    scenario = build_scenario(0.2, PLANS[plan_name])
     oracle_sim, oracle = _run(scenario, SetBestPossibleScheme())
     bitset_sim, bitset = _run(scenario, BestPossibleScheme())
     assert bitset.delivered_photos > 0
@@ -130,7 +130,7 @@ def _session(monkeypatch, scenario, scheme_class):
 
 class TestServiceSession:
     def test_out_of_order_ids_deliver_in_photo_id_order(self, monkeypatch):
-        scenario = build_scenario(monkeypatch, 0.1)
+        scenario = build_scenario(0.1)
         events = _shuffled_id_events(scenario, seed=3)
         oracle = _session(monkeypatch, scenario, SetBestPossibleScheme)
         bitset = _session(monkeypatch, scenario, BestPossibleScheme)
@@ -152,7 +152,7 @@ class TestServiceSession:
     def test_a_reported_id_reported_again_matches_the_oracle(self, monkeypatch):
         """The set oracle sends the latest copy of a re-reported id, so the
         bitset keeps the id's bit and swaps in the new copy."""
-        scenario = build_scenario(monkeypatch, 0.1)
+        scenario = build_scenario(0.1)
         events = _shuffled_id_events(scenario, seed=5)
         owners = sorted({e[2][0] for e in events if e[0] == EventKind.PHOTO_CREATED})
         doubled = []
@@ -175,7 +175,7 @@ class TestServiceSession:
         )
 
     def test_a_session_pickled_mid_run_continues_identically(self, monkeypatch):
-        scenario = build_scenario(monkeypatch, 0.1)
+        scenario = build_scenario(0.1)
         events = _shuffled_id_events(scenario, seed=4)
         half = len(events) // 2
         twin = _session(monkeypatch, scenario, BestPossibleScheme)

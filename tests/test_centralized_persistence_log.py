@@ -167,15 +167,6 @@ class TestSimulationLog:
         photo, log, _ = self.run_logged()
         assert len(log.transfers_of(photo.photo_id)) == 3
 
-    def test_jsonl_output(self, tmp_path):
-        _, log, _ = self.run_logged()
-        path = tmp_path / "log.jsonl"
-        log.write_jsonl(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(log)
-        parsed = json.loads(lines[0])
-        assert parsed["kind"] == "photo-created"
-
     def test_wrapped_scheme_keeps_name(self):
         scheme, _ = attach_logging(CoverageSelectionScheme())
         assert scheme.name == "our-scheme"

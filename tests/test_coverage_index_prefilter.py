@@ -34,7 +34,7 @@ from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoIList
 
-from helpers import make_photo, needs_numpy
+from helpers import make_photo, needs_numpy, next_photo_id
 
 CELL = 250.0  # CoverageIndex's default grid cell edge
 
@@ -183,7 +183,8 @@ def radian_photo(x, y, orientation, fov, coverage_range):
             coverage_range=coverage_range,
             field_of_view=fov,
             orientation=orientation,
-        )
+        ),
+        photo_id=next_photo_id(),
     )
 
 

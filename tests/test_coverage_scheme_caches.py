@@ -64,7 +64,7 @@ def _wiped_run_equals_ordinary(monkeypatch, scenario, scheme_name, scheme_class)
 
 
 def test_wiping_the_caches_before_every_event_changes_nothing(monkeypatch):
-    scenario = build_scenario(monkeypatch, 0.4, DISRUPTION_PLAN)
+    scenario = build_scenario(0.4, DISRUPTION_PLAN)
     _wiped_run_equals_ordinary(monkeypatch, scenario, "our-scheme", CoverageSelectionScheme)
     _wiped_run_equals_ordinary(monkeypatch, scenario, "modified-spray", ModifiedSprayScheme)
 

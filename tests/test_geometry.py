@@ -45,12 +45,6 @@ class TestPoint:
         a, b = Point(0.0, 0.0), Point(1.0, 1.0)
         assert bearing(a, b) == a.bearing_to(b)
 
-    def test_translated(self):
-        assert Point(1.0, 2.0).translated(3.0, -1.0) == Point(4.0, 1.0)
-
-    def test_as_tuple(self):
-        assert Point(1.5, 2.5).as_tuple() == (1.5, 2.5)
-
     @given(points, points)
     def test_distance_symmetric(self, a, b):
         assert a.distance_to(b) == pytest.approx(b.distance_to(a))

@@ -15,6 +15,9 @@ from repro.experiments import fig3_demo, fig5, fig6
 from repro.experiments.config import ScenarioSpec
 from repro.experiments.engine import default_engine
 from repro.experiments.runner import run_scenario
+from repro.workload.photos import PhotoGenerator
+
+from helpers import result_digest
 
 SCALE = 0.12
 SEED = 0
@@ -124,12 +127,18 @@ class TestPrototypeDemo:
         assert outcomes["photonet"].delivered_photos <= 12
 
     def test_demo_photo_ids_do_not_depend_on_earlier_photos(self):
-        """PhotoNet hashes photo ids, so neither demo workload may draw
-        them from the process-wide counter."""
+        """PhotoNet hashes photo ids, so a demo workload built twice
+        carries the same ids."""
         for build in (fig3_demo.build_demo_photos, fig3_demo.build_demo_photos_with_sensors):
             first = build(Point(0.0, 0.0), 0.0)
             second = build(Point(0.0, 0.0), 0.0)
             assert [a.photo.photo_id for a in first] == [a.photo.photo_id for a in second]
+
+    def test_demo_photo_ids_are_dealing_positions(self):
+        ideal = fig3_demo.build_demo_photos(Point(0.0, 0.0), 0.0)
+        sensed = fig3_demo.build_demo_photos_with_sensors(Point(0.0, 0.0), 0.0)
+        assert [a.photo.photo_id for a in ideal] == list(range(len(ideal)))
+        assert [a.photo.photo_id for a in sensed] == [a.photo.photo_id for a in ideal]
 
     def test_demo_report_renders(self):
         outcomes = fig3_demo.run(seed=1)
@@ -146,3 +155,17 @@ class TestDeterminism:
         assert a.delivered_photos == b.delivered_photos
         assert a.final_coverage == b.final_coverage
         assert [s.point_coverage for s in a.samples] == [s.point_coverage for s in b.samples]
+
+    def test_scenario_photo_ids_do_not_depend_on_earlier_photos(self):
+        """A scenario numbers its own photos 0..N-1, so photos the process
+        made in between leave PhotoNet, which hashes the ids, unchanged."""
+        spec = ScenarioSpec(scale=0.02, seed=0)
+        first = spec.build()
+        PhotoGenerator(seed=9).batch(500)
+        second = spec.build()
+        for scenario in (first, second):
+            ids = [arrival.photo.photo_id for arrival in scenario.photo_arrivals]
+            assert ids == list(range(len(ids)))
+        assert result_digest(run_scenario(first, "photonet")) == result_digest(
+            run_scenario(second, "photonet")
+        )

@@ -300,20 +300,24 @@ class TestSyntheticWorkload:
     def test_deterministic_per_seed(self):
         spec = WorkloadSpec(users=10)
         mix = StageMix()
-        ops_a = [
-            SyntheticWorkload(spec, seed=5).make_op(Arrival(0.0), 1.0, mix)
-            for _ in range(1)
-        ]
-        ops_b = [
-            SyntheticWorkload(spec, seed=5).make_op(Arrival(0.0), 1.0, mix)
-            for _ in range(1)
-        ]
-        # Photo ids are process-global; compare everything but the id.
-        for a, b in zip(ops_a, ops_b):
-            if "photo" in a:
-                a["photo"].pop("photo_id")
-                b["photo"].pop("photo_id")
-            assert a == b
+        runs = []
+        for _ in range(2):
+            workload = SyntheticWorkload(spec, seed=5)
+            runs.append([workload.make_op(Arrival(0.0), float(i), mix) for i in range(50)])
+        assert runs[0] == runs[1]
+
+    def test_ingest_photo_ids_count_up_from_zero(self):
+        workload = SyntheticWorkload(WorkloadSpec(users=10), seed=2)
+        mix = StageMix()
+        incident = Incident(time=0.0, x=0.5, y=0.5)
+        ids = []
+        for index in range(60):
+            arrival = Arrival(0.0, incident=incident if index % 3 == 0 else None)
+            op = workload.make_op(arrival, float(index), mix)
+            if op["op"] == "ingest":
+                ids.append(op["photo"]["photo_id"])
+        assert len(ids) >= 20
+        assert ids == list(range(len(ids)))
 
 
 class TestSLOEvaluation:

@@ -80,6 +80,7 @@ def service_manifest(tmp_path_factory):
                         field_of_view=1.0,
                         orientation=-0.5,
                     ),
+                    photo_id=owner,
                     taken_at=0.0,
                     owner_id=owner,
                 )

@@ -198,12 +198,6 @@ class TestMetadataCache:
         assert 2 not in cache
         cache.drop(99)  # no-op
 
-    def test_known_nodes(self):
-        cache = MetadataCache(owner_id=1)
-        cache.store(entry(4, 0.0))
-        cache.store(entry(2, 0.0))
-        assert cache.known_nodes() == (2, 4)
-
     def test_entry_validity_method(self):
         rate = math.log(5.0) / 100.0
         fresh = entry(2, 0.0, rate=rate)

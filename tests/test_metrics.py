@@ -64,19 +64,6 @@ class TestAnalyzeCollection:
         report = analyze_collection(index, photos)
         assert report.per_poi[0].distinct_views == 2
 
-    def test_k_view_fraction(self):
-        index = index_for([Point(0.0, 0.0), Point(500.0, 0.0)])
-        photos = [
-            photo_at_aspect(Point(0.0, 0.0), 0.0),
-            photo_at_aspect(Point(0.0, 0.0), 180.0),
-            photo_at_aspect(Point(500.0, 0.0), 90.0),
-        ]
-        report = analyze_collection(index, photos)
-        assert report.k_view_fraction(1) == 1.0
-        assert report.k_view_fraction(2) == 0.5
-        with pytest.raises(ValueError):
-            report.k_view_fraction(0)
-
     def test_aggregates(self):
         index = index_for([Point(0.0, 0.0), Point(500.0, 0.0), Point(0.0, 500.0)])
         photos = [
@@ -107,8 +94,8 @@ class TestAnalyzeCollection:
         assert poi.aspect_deg == pytest.approx(ideal)
         assert poi.overlap_deg == pytest.approx(0.0)
 
-    def test_mean_overlap_per_photo(self):
+    def test_overlap_of_two_photos(self):
         index = index_for([Point(0.0, 0.0)])
         photos = [photo_at_aspect(Point(0.0, 0.0), d) for d in (0.0, 30.0)]
         report = analyze_collection(index, photos)
-        assert report.per_poi[0].mean_overlap_per_photo_deg == pytest.approx(15.0, abs=1e-6)
+        assert report.per_poi[0].overlap_deg == pytest.approx(30.0, abs=1e-6)

@@ -126,12 +126,6 @@ class TestSnapshot:
         snap = t.snapshot(now=10000.0)
         assert snap == {}
 
-    def test_known_destinations(self):
-        t = table()
-        t.on_encounter(5, now=0.0)
-        t.on_encounter(2, now=0.0)
-        assert t.known_destinations() == (2, 5)
-
 
 class TestInvariants:
     @given(

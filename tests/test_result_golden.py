@@ -40,8 +40,8 @@ PLANS = {
 
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 @pytest.mark.parametrize("scheme_name", scheme_names())
-def test_result_matches_golden(monkeypatch, scheme_name, plan_name):
-    scenario = build_scenario(monkeypatch, 0.1, PLANS[plan_name])
+def test_result_matches_golden(scheme_name, plan_name):
+    scenario = build_scenario(0.1, PLANS[plan_name])
     digest = result_digest(run_scenario(scenario, scheme_name))
 
     if os.environ.get("REPRO_REGEN_GOLDEN", "") not in ("", "0"):

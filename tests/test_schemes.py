@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import pytest
 
-from repro.core import metadata as metadata_module
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
 from repro.dtn.simulator import Simulation, SimulationConfig
@@ -355,10 +353,8 @@ class TestPhotoNet:
         assert len(a) == 6
 
     def test_explicit_features_respected(self):
-        from repro.core.metadata import Photo
-
         base = make_photo(0.0, 0.0, 0.0)
-        photo = Photo(metadata=base.metadata, features=(0.1, 0.2, 0.3))
+        photo = dataclasses.replace(base, features=(0.1, 0.2, 0.3))
         feats = photo_features(photo, 6300.0, 86400.0)
         assert feats[3:] == (0.1, 0.2, 0.3)
 
@@ -385,14 +381,15 @@ class TestPhotoNet:
         assert near.photo_id not in sim2.nodes[2].storage
 
     @staticmethod
-    def _closest_pair_eviction():
+    def _closest_pair_eviction(ids=(None, None, None)):
         # One pinned colour: PhotoNet otherwise hashes the photo id into
-        # it, and at some id offsets the colour gap outweighs the 5 km
-        # between a and c.
+        # it, and at some ids the colour gap outweighs the 5 km between
+        # a and c.
         colour = (0.5, 0.5, 0.5)
-        a = dataclasses.replace(make_photo(0.0, 0.0, 0.0), features=colour)
-        b = dataclasses.replace(make_photo(1.0, 0.0, 0.0), features=colour)  # near-duplicate of a
-        c = dataclasses.replace(make_photo(5000.0, 5000.0, 0.0), features=colour)
+        a, b, c = (
+            dataclasses.replace(make_photo(x, y, 0.0, photo_id=photo_id), features=colour)
+            for (x, y), photo_id in zip([(0.0, 0.0), (1.0, 0.0), (5000.0, 5000.0)], ids)
+        )  # b is a near-duplicate of a
         sim = build_sim(
             PhotoNetScheme(),
             contacts=[],
@@ -408,11 +405,10 @@ class TestPhotoNet:
     def test_eviction_drops_closest_pair_member(self):
         self._closest_pair_eviction()
 
-    @pytest.mark.parametrize("offset", [244, 428])
-    def test_eviction_ignores_the_photo_id_offset(self, monkeypatch, offset):
-        """Offsets at which id-hashed colours broke the closest-pair eviction."""
-        monkeypatch.setattr(metadata_module, "_photo_ids", itertools.count(offset))
-        self._closest_pair_eviction()
+    @pytest.mark.parametrize("first_id", [244, 428])
+    def test_eviction_ignores_the_photo_id_offset(self, first_id):
+        """Ids at which hashed colours broke the closest-pair eviction."""
+        self._closest_pair_eviction(ids=range(first_id, first_id + 3))
 
     def test_delivers_by_diversity_not_coverage(self):
         """PhotoNet wastes the uplink on a spatially-far junk photo.
@@ -463,7 +459,7 @@ class TestContactStateOwnership:
     def test_baselines_keep_no_prophet_or_contact_history(self, name):
         sim = self._run(create_scheme(name))
         for node in sim.nodes.values():
-            assert node.prophet.known_destinations() == ()
+            assert node.prophet.snapshot(300.0) == {}
             assert node.estimator.peers() == ()
 
     def test_our_scheme_fills_prophet_and_contact_history(self):
@@ -476,5 +472,5 @@ class TestContactStateOwnership:
         sim = self._run(CoverageSelectionScheme(use_metadata_cache=False))
         assert sim.nodes[2].delivery_probability(300.0) > 0.0
         for node in sim.nodes.values():
-            assert node.prophet.known_destinations() != ()
+            assert node.prophet.snapshot(300.0) != {}
             assert node.estimator.peers() == ()

@@ -113,7 +113,7 @@ class TestGreedySelect:
         batch = expected_coverage(
             index, [build_node_profile(index, 1, selection.photos, p)]
         )
-        assert selection.total_gain.isclose(batch)
+        assert sum(selection.gains, CoverageValue.ZERO).isclose(batch)
 
     def test_background_suppresses_redundant(self):
         index = index_for([Point(0.0, 0.0)])
@@ -136,7 +136,7 @@ class TestGreedySelect:
         index = index_for([Point(0.0, 0.0)])
         selection = greedy_select(index, [], StorageSpec(1, 100 * MB, 0.9), [])
         assert selection.photos == []
-        assert selection.total_gain == CoverageValue.ZERO
+        assert selection.gains == []
 
     def test_deterministic_tie_break_by_photo_id(self):
         index = index_for([Point(0.0, 0.0)])
@@ -297,7 +297,7 @@ def test_selection_runs_without_numpy():
                 field_of_view=math.radians(60.0),
                 orientation=camera.bearing_to(poi),
             )
-            return Photo(metadata=metadata, size_bytes=4 * 1024 * 1024)
+            return Photo(metadata=metadata, photo_id=int(aspect_deg), size_bytes=4 * 1024 * 1024)
 
         background = [build_node_profile(index, 0, [photo(180.0)], 1.0)]
         result = greedy_reallocate(

@@ -21,7 +21,6 @@ class TestSeedSensitivity:
             assert stat.num_seeds == 3
             assert stat.ci_low <= stat.mean <= stat.ci_high
             assert stat.std >= 0.0
-            assert stat.ci_half_width >= 0.0
 
     def test_metric_selection(self):
         stats_delivered = seed_sensitivity(
@@ -52,4 +51,3 @@ class TestPairedComparison:
         comparison = paired_comparison(SPEC, "our-scheme", "our-scheme", num_seeds=2)
         assert comparison.mean_difference == 0.0
         assert comparison.p_value == 1.0
-        assert not comparison.a_significantly_better()

@@ -217,13 +217,26 @@ class TestGps:
 class TestMetadataAcquisition:
     def test_capture_produces_valid_metadata(self):
         acquisition = MetadataAcquisition(camera=CameraSpec(fov_deg=45.0))
-        photo = acquisition.capture(Point(100.0, 200.0), true_azimuth=1.0, owner_id=7)
+        photo = acquisition.capture(
+            Point(100.0, 200.0), true_azimuth=1.0, photo_id=3, owner_id=7
+        )
+        assert photo.photo_id == 3
         assert photo.owner_id == 7
         assert photo.metadata.field_of_view == pytest.approx(math.radians(45.0))
         # r = 50 / tan(22.5 deg) ~ 120.7 m.
         assert photo.metadata.coverage_range == pytest.approx(120.7, abs=0.2)
         assert photo.location.distance_to(Point(100.0, 200.0)) < 40.0
         assert math.degrees(angle_difference(photo.metadata.orientation, 1.0)) < 8.0
+
+    def test_photo_id_draws_no_noise(self):
+        captured = [
+            MetadataAcquisition(
+                imu=ImuSimulator(seed=3), gps=GpsSimulator(seed=4)
+            ).capture(Point(10.0, 20.0), true_azimuth=2.0, photo_id=photo_id)
+            for photo_id in (0, 99)
+        ]
+        assert [p.photo_id for p in captured] == [0, 99]
+        assert captured[0].metadata == captured[1].metadata
 
     def test_camera_spec_validation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ from repro.service.client import ServiceClient, ServiceError, http_get, replay_s
 from repro.service.router import RoutingConfig
 from repro.service.server import CommandCenterServer
 
+from helpers import next_photo_id
+
 
 def make_photo(x=10.0, y=10.0, taken_at=0.0, owner_id=1):
     return Photo(
@@ -29,6 +31,7 @@ def make_photo(x=10.0, y=10.0, taken_at=0.0, owner_id=1):
             field_of_view=1.0,
             orientation=-0.5,  # clockwise from east: points up-and-right
         ),
+        photo_id=next_photo_id(),
         taken_at=taken_at,
         owner_id=owner_id,
     )

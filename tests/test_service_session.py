@@ -21,6 +21,8 @@ from repro.service.session import (
 )
 from repro.core.poi import PoIList
 
+from helpers import next_photo_id
+
 
 def make_photo(x=10.0, y=10.0, taken_at=0.0, owner_id=1):
     """A photo aimed up-and-right (orientation is clockwise from east, so
@@ -33,6 +35,7 @@ def make_photo(x=10.0, y=10.0, taken_at=0.0, owner_id=1):
             field_of_view=1.0,
             orientation=-0.5,
         ),
+        photo_id=next_photo_id(),
         taken_at=taken_at,
         owner_id=owner_id,
     )
@@ -53,6 +56,7 @@ class TestPhotoWireCodec:
                 orientation=2.25,
             ),
             size_bytes=4 * 1024 * 1024,
+            photo_id=9001,
             taken_at=3600.5,
             owner_id=42,
             features=(0.1, 0.2, 0.3),

@@ -52,7 +52,6 @@ class TestExponentialFits:
         fit = fit_pair_exponential((1, 2), list(gaps))
         assert fit.rate_per_s == pytest.approx(0.01, rel=0.1)
         assert fit.ks_pvalue > 0.05
-        assert fit.mean_gap_s == pytest.approx(100.0, rel=0.1)
 
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):

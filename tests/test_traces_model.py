@@ -28,11 +28,9 @@ class TestContactRecord:
         with pytest.raises(ValueError):
             ContactRecord(0.0, 1, 2, -10.0)
 
-    def test_end_and_involves(self):
+    def test_end(self):
         contact = record(10.0, 1, 2, duration=5.0)
         assert contact.end == 15.0
-        assert contact.involves(1) and contact.involves(2)
-        assert not contact.involves(3)
 
 
 class TestContactTrace:
@@ -103,12 +101,6 @@ class TestContactTrace:
     def test_pair_rates(self):
         rates = self.sample().pair_rates()
         assert rates[(1, 2)] == pytest.approx(1.0 / 100.0)
-
-    def test_contacts_per_node(self):
-        counts = self.sample().contacts_per_node()
-        assert counts[1] == 3
-        assert counts[2] == 3
-        assert counts[3] == 2
 
     def test_mean_duration(self):
         assert self.sample().mean_contact_duration() == pytest.approx((60 * 3 + 100) / 4)

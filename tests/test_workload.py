@@ -57,7 +57,18 @@ class TestPhotoGenerator:
         a = PhotoGenerator(seed=5).next_photo()
         b = PhotoGenerator(seed=5).next_photo()
         assert a.metadata == b.metadata
-        assert a.photo_id != b.photo_id  # ids stay globally unique
+        assert a.photo_id == b.photo_id
+
+    def test_numbers_photos_in_draw_order(self):
+        generator = PhotoGenerator(seed=5)
+        ids = [p.photo_id for p in generator.batch(3)] + [generator.next_photo().photo_id]
+        assert ids == [0, 1, 2, 3]
+
+    def test_generators_number_independently(self):
+        busy = PhotoGenerator(seed=1)
+        busy.batch(10)
+        assert PhotoGenerator(seed=2).next_photo().photo_id == 0
+        assert busy.next_photo().photo_id == 10
 
     def test_targeted_photos_cover_their_target(self):
         pois = random_pois(10, seed=1)
@@ -118,6 +129,13 @@ class TestPhotoSchedule:
             generate_photo_schedule(generator, [], 10.0, 3600.0)
         with pytest.raises(ValueError):
             generate_photo_schedule(generator, [1], -1.0, 3600.0)
+
+    def test_ids_follow_schedule_order(self):
+        schedule = generate_photo_schedule(
+            PhotoGenerator(seed=0), [1, 2, 3], photos_per_hour=200.0, duration_s=3600.0, seed=4
+        )
+        assert schedule
+        assert [a.photo.photo_id for a in schedule] == list(range(len(schedule)))
 
     def test_deterministic(self):
         g1 = PhotoGenerator(seed=0)
@@ -217,7 +235,7 @@ class TestPoIGenerators:
     def test_random_pois_deterministic(self):
         a = random_pois(10, seed=4)
         b = random_pois(10, seed=4)
-        assert a.locations() == b.locations()
+        assert [p.location for p in a] == [p.location for p in b]
 
     def test_clustered_pois_count(self):
         pois = clustered_pois(3, 5, seed=0)
