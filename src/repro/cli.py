@@ -425,7 +425,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         routing = RoutingConfig(
             champion=args.champion,
             challenger=args.challenger,
-            champion_pct=100.0 - args.challenger_pct,
             challenger_pct=args.challenger_pct,
             salt=args.salt,
         )

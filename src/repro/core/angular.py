@@ -112,10 +112,6 @@ class AngularInterval:
             raise ValueError(f"half_width must be non-negative, got {half_width}")
         return cls(center - half_width, 2.0 * half_width)
 
-    @classmethod
-    def full_circle(cls) -> "AngularInterval":
-        return cls(0.0, TWO_PI)
-
     @property
     def is_full(self) -> bool:
         return self.width >= TWO_PI
@@ -160,14 +156,6 @@ class ArcSet:
         self._segments: List[Tuple[float, float]] = []
         for interval in intervals:
             self.add(interval)
-
-    @classmethod
-    def empty(cls) -> "ArcSet":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "ArcSet":
-        return cls([AngularInterval.full_circle()])
 
     @classmethod
     def _from_segments(cls, segments: Sequence[Tuple[float, float]]) -> "ArcSet":

@@ -39,17 +39,17 @@ class CoverageIndex:
         The PoI list all coverage is computed against.
     effective_angle:
         ``theta`` -- half-width of the aspect arc contributed per photo.
-    cell_size:
-        Edge length of the spatial-grid cells used to prune PoI candidates
-        when indexing a photo.  ``None`` picks a sensible default from the
-        PoI spread.
     """
+
+    #: Edge (m) of the spatial-grid cells that prune PoI candidates when a
+    #: photo is indexed.  Cells comparable to a typical coverage range keep
+    #: candidate lists short without making the cell scan dominate.
+    CELL_SIZE_M = 250.0
 
     def __init__(
         self,
         pois: PoIList,
         effective_angle: float = DEFAULT_EFFECTIVE_ANGLE,
-        cell_size: float = None,
     ) -> None:
         if effective_angle <= 0.0 or effective_angle > math.pi:
             raise ValueError(f"effective_angle must be in (0, pi], got {effective_angle}")
@@ -57,7 +57,6 @@ class CoverageIndex:
         self.effective_angle = effective_angle
         self._incidences: Dict[int, List[Incidence]] = {}
         self._arc_cache: Dict[int, tuple] = {}
-        self._cell_size = cell_size if cell_size is not None else self._default_cell_size()
         self._grid = self._build_grid()
         self._box_candidates: Dict[Tuple[int, int, int, int], tuple] = {}
 
@@ -75,15 +74,10 @@ class CoverageIndex:
         self._grid = self._build_grid()
         self._box_candidates = {}
 
-    def _default_cell_size(self) -> float:
-        # Cells comparable to a typical coverage range keep candidate lists
-        # short without making the cell scan dominate.
-        return 250.0
-
     def _build_grid(self) -> Dict[Tuple[int, int], List[Tuple[int, float, float]]]:
         """Grid cell -> the ``(poi_id, x, y)`` of the PoIs inside it."""
         grid: Dict[Tuple[int, int], List[Tuple[int, float, float]]] = {}
-        size = self._cell_size
+        size = self.CELL_SIZE_M
         for poi in self.pois:
             x, y = poi.location.x, poi.location.y
             cell = (math.floor(x / size), math.floor(y / size))
@@ -120,7 +114,7 @@ class CoverageIndex:
         metadata = photo.metadata
         x, y = metadata.location.x, metadata.location.y
         radius = metadata.coverage_range
-        size = self._cell_size
+        size = self.CELL_SIZE_M
         box = (
             math.floor((x - radius) / size),
             math.floor((x + radius) / size),

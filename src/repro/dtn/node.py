@@ -23,12 +23,10 @@ from ..core.metadata import Photo
 from ..metadata_mgmt.cache import CacheEntry, MetadataCache
 from ..metadata_mgmt.intercontact import DEFAULT_VALIDITY_THRESHOLD, InterContactEstimator
 from ..routing.prophet import ProphetParameters, ProphetTable
+from ..traces.model import COMMAND_CENTER_ID
 from .storage import NodeStorage
 
 __all__ = ["DTNNode", "CommandCenter", "COMMAND_CENTER_ID"]
-
-#: Conventional node id of the command center (``n_0`` in the paper).
-COMMAND_CENTER_ID = 0
 
 
 class DTNNode:
@@ -41,23 +39,17 @@ class DTNNode:
         is_gateway: bool = False,
         prophet_params: ProphetParameters = ProphetParameters(),
         validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD,
-        command_center_id: int = COMMAND_CENTER_ID,
     ) -> None:
-        if node_id == command_center_id:
+        if node_id == COMMAND_CENTER_ID:
             raise ValueError(
                 f"node id {node_id} is reserved for the command center; use CommandCenter"
             )
         self.node_id = node_id
         self.is_gateway = is_gateway
         self.storage = NodeStorage(storage_bytes)
-        self.cache = MetadataCache(
-            owner_id=node_id,
-            command_center_id=command_center_id,
-            threshold=validity_threshold,
-        )
+        self.cache = MetadataCache(owner_id=node_id, threshold=validity_threshold)
         self.estimator = InterContactEstimator()
         self.prophet = ProphetTable(node_id, prophet_params)
-        self.command_center_id = command_center_id
         self.scratch: Dict[str, Any] = {}
         self._prophet_params = prophet_params
         self._validity_threshold = validity_threshold
@@ -87,9 +79,7 @@ class DTNNode:
             self.storage.replace_all(surviving_photos)
         if wipe_protocol_state:
             self.cache = MetadataCache(
-                owner_id=self.node_id,
-                command_center_id=self.command_center_id,
-                threshold=self._validity_threshold,
+                owner_id=self.node_id, threshold=self._validity_threshold
             )
             self.estimator = InterContactEstimator()
             self.prophet = ProphetTable(self.node_id, self._prophet_params)
@@ -101,17 +91,7 @@ class DTNNode:
 
     def delivery_probability(self, now: float) -> float:
         """``p_i``: PROPHET predictability toward the command center."""
-        return self.prophet.predictability(self.command_center_id, now)
-
-    def buffer_occupancy(self) -> Optional[float]:
-        """Fraction of storage in use, or ``None`` for unlimited storage.
-
-        The telemetry layer samples this across all nodes at every SAMPLE
-        event to build the buffer-pressure timeseries.
-        """
-        if self.storage.capacity_bytes is None or self.storage.capacity_bytes == 0:
-            return None
-        return self.storage.used_bytes / self.storage.capacity_bytes
+        return self.prophet.predictability(COMMAND_CENTER_ID, now)
 
     def snapshot_metadata(self, now: float) -> CacheEntry:
         """This node's own metadata snapshot, for handing to a contact peer.
@@ -139,8 +119,9 @@ class DTNNode:
 class CommandCenter:
     """The command center ``n_0``: unlimited storage, never drops photos."""
 
-    def __init__(self, node_id: int = COMMAND_CENTER_ID) -> None:
-        self.node_id = node_id
+    node_id = COMMAND_CENTER_ID
+
+    def __init__(self) -> None:
         self.storage = NodeStorage(capacity_bytes=None)
         self.received_count = 0
 
@@ -157,7 +138,7 @@ class CommandCenter:
 
         The command center never drops photos, so its entries never expire
         (``aggregate_rate=0`` keeps Eq. 1 at probability 0 forever, and the
-        cache additionally special-cases node 0).
+        cache additionally special-cases the command center).
         """
         return CacheEntry(
             node_id=self.node_id,

@@ -5,8 +5,8 @@ pluggable routing scheme, and records the command center's coverage over
 time -- the quantity every figure of Section V plots.
 
 Time is in seconds from the start of the run.  The command center is node
-0 by convention; contacts that involve it (gateway uplinks) are dispatched
-to the scheme's :meth:`~repro.routing.base.RoutingScheme.
+``COMMAND_CENTER_ID`` (0); contacts that involve it (gateway uplinks) are
+dispatched to the scheme's :meth:`~repro.routing.base.RoutingScheme.
 on_command_center_contact` callback, everything else to
 :meth:`~repro.routing.base.RoutingScheme.on_contact`.
 """
@@ -58,7 +58,6 @@ class SimulationConfig:
     validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD
     prophet: ProphetParameters = ProphetParameters()
     sample_interval_s: float = 10.0 * 3600.0
-    command_center_id: int = COMMAND_CENTER_ID
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -138,13 +137,13 @@ class Simulation:
         self.telemetry = telemetry
         self.pois = pois
         self.index = CoverageIndex(pois, effective_angle=config.effective_angle)
-        self.command_center = CommandCenter(config.command_center_id)
+        self.command_center = CommandCenter()
         self.scheme = scheme
         self.scratch: Dict[str, Any] = {}
         gateways = set(gateway_ids)
 
         participant_ids = set(trace.node_ids()) | {a.owner_id for a in photo_arrivals}
-        participant_ids.discard(config.command_center_id)
+        participant_ids.discard(COMMAND_CENTER_ID)
         self.nodes: Dict[int, DTNNode] = {
             node_id: DTNNode(
                 node_id=node_id,
@@ -152,7 +151,6 @@ class Simulation:
                 is_gateway=node_id in gateways,
                 prophet_params=config.prophet,
                 validity_threshold=config.validity_threshold,
-                command_center_id=config.command_center_id,
             )
             for node_id in sorted(participant_ids)
         }
@@ -187,10 +185,7 @@ class Simulation:
                 payload = (contact.node_a, contact.node_b, duration, multiplier)
             self._queue.push(Event(start, EventKind.CONTACT, payload))
         if self.faults is not None:
-            participant_ids = [
-                node_id for node_id in sorted(self.nodes) if node_id != config.command_center_id
-            ]
-            for crash in self.faults.crash_schedule(participant_ids, self._end_time):
+            for crash in self.faults.crash_schedule(sorted(self.nodes), self._end_time):
                 self._queue.push(
                     Event(crash.time, EventKind.NODE_CRASH, (crash.node_id, crash.restart_time))
                 )
@@ -274,7 +269,7 @@ class Simulation:
     # simulator produces for the same pool and seed.
     # ------------------------------------------------------------------
 
-    def ensure_node(self, node_id: int, is_gateway: bool = False) -> DTNNode:
+    def ensure_node(self, node_id: int) -> DTNNode:
         """Get-or-create the participant *node_id*.
 
         The simulator pre-creates every node from the trace; service mode
@@ -287,10 +282,8 @@ class Simulation:
             node = DTNNode(
                 node_id=node_id,
                 storage_bytes=self.config.storage_bytes,
-                is_gateway=is_gateway,
                 prophet_params=self.config.prophet,
                 validity_threshold=self.config.validity_threshold,
-                command_center_id=self.config.command_center_id,
             )
             if self.faults is not None:
                 node.faults = self.faults
@@ -357,15 +350,14 @@ class Simulation:
         """
         self._now = now
         tel = self.telemetry
-        cc_id = self.config.command_center_id
         counters = self.result.fault_counters
         self._bandwidth_scale = bandwidth_scale
         try:
             if node_a_id == node_b_id:
                 # A node never meets itself; tolerate malformed input.
                 return False
-            if cc_id in (node_a_id, node_b_id):
-                participant_id = node_b_id if node_a_id == cc_id else node_a_id
+            if COMMAND_CENTER_ID in (node_a_id, node_b_id):
+                participant_id = node_b_id if node_a_id == COMMAND_CENTER_ID else node_a_id
                 node = self.nodes.get(participant_id)
                 if node is None:
                     return False

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from ..core.poi import PoIList
 from ..dtn.faults import FaultPlan
-from ..dtn.simulator import GIGABYTE, MEGABYTE, SimulationConfig
+from ..dtn.simulator import GIGABYTE, SimulationConfig
 from ..routing.prophet import ProphetParameters
 from ..traces.model import ContactTrace
 from ..traces.synthetic import (
@@ -41,7 +41,6 @@ class TableISettings:
 
     photo_size_bytes: int = 4 * 1024 * 1024
     effective_angle_deg: float = 30.0
-    orientation_range_deg: Tuple[float, float] = (0.0, 360.0)
     fov_range_deg: Tuple[float, float] = (30.0, 60.0)
     range_scale_m: Tuple[float, float] = (50.0, 100.0)
     validity_threshold: float = 0.8
@@ -91,20 +90,15 @@ class ScenarioSpec:
     storage_gb: Optional[float] = 0.6
     photos_per_hour: float = 250.0
     contact_duration_cap_s: Optional[float] = None
-    unlimited_contacts: bool = False
-    bandwidth_mb_per_s: float = 2.0
     scale: float = 1.0
     seed: int = 0
-    sample_interval_hours: float = 10.0
     settings: TableISettings = field(default_factory=TableISettings)
     targeted_fraction: float = 0.0
     gateway_mean_interval_s: float = 7200.0
     gateway_mean_duration_s: float = 600.0
     #: Disaster-scenario fault intensity in [0, 1]; builds a scaled
-    #: :class:`~repro.dtn.faults.FaultPlan` (0 = clean run).  An explicit
-    #: ``fault_plan`` overrides the intensity knob.
+    #: :class:`~repro.dtn.faults.FaultPlan` (0 = clean run).
     fault_intensity: float = 0.0
-    fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.trace_name not in (TRACE_MIT, TRACE_CAMBRIDGE):
@@ -226,8 +220,8 @@ class ScenarioSpec:
             duration_s=duration_s,
             seed=self.seed + 4,
         )
-        fault_plan = self.fault_plan
-        if fault_plan is None and self.fault_intensity > 0.0:
+        fault_plan = None
+        if self.fault_intensity > 0.0:
             # Seed offset 5 keeps the fault stream independent of the trace
             # (seed), uplink (+1), PoI (+2), generator (+3) and schedule
             # (+4) streams, so turning faults on never reshuffles the
@@ -235,13 +229,10 @@ class ScenarioSpec:
             fault_plan = FaultPlan.scaled(self.fault_intensity, seed=self.seed + 5)
         config = SimulationConfig(
             storage_bytes=None if self.storage_gb is None else int(self.storage_gb * GIGABYTE),
-            bandwidth_bytes_per_s=self.bandwidth_mb_per_s * MEGABYTE,
-            unlimited_contacts=self.unlimited_contacts,
             contact_duration_cap_s=self.contact_duration_cap_s,
             effective_angle=self.settings.effective_angle_rad(),
             validity_threshold=self.settings.validity_threshold,
             prophet=self.settings.prophet_parameters(),
-            sample_interval_s=self.sample_interval_hours * 3600.0,
             fault_plan=fault_plan,
         )
         return Scenario(

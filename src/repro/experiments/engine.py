@@ -63,7 +63,10 @@ __all__ = [
 #: store the telemetry snapshot beside the result.
 #: v3: telemetry snapshots carry phase timings as a timer family, not a
 #: ``profile`` block.
-CACHE_SCHEMA_VERSION = 3
+#: v4: ``ScenarioSpec`` no longer has ``unlimited_contacts``,
+#: ``bandwidth_mb_per_s``, ``sample_interval_hours`` or ``fault_plan``,
+#: and ``TableISettings`` no longer has ``orientation_range_deg``.
+CACHE_SCHEMA_VERSION = 4
 
 #: Where the CLI puts the cache unless told otherwise.
 DEFAULT_CACHE_DIR = Path(

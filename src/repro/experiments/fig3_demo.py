@@ -223,7 +223,7 @@ def run(seed: int = 0, use_sensor_pipeline: bool = False) -> Dict[str, DemoOutco
 
     schemes = {
         "our-scheme": lambda: CoverageSelectionScheme(use_metadata_cache=True),
-        "photonet": lambda: PhotoNetScheme(region_scale=6300.0),
+        "photonet": lambda: PhotoNetScheme(),
         "spray-and-wait": lambda: SprayAndWaitScheme(initial_copies=4),
     }
     outcomes: Dict[str, DemoOutcome] = {}

@@ -31,7 +31,6 @@ def spec(cap_s: Optional[float], scale: float = 1.0, seed: int = 0) -> ScenarioS
         storage_gb=0.6,
         photos_per_hour=250.0,
         contact_duration_cap_s=cap_s,
-        bandwidth_mb_per_s=2.0,
         scale=scale,
         seed=seed,
     )

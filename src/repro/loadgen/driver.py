@@ -180,10 +180,6 @@ class _Conn:
         self.writer: Optional[asyncio.StreamWriter] = None
         self.ever_connected = False
 
-    @property
-    def connected(self) -> bool:
-        return self.writer is not None
-
     async def ensure(self) -> bool:
         """Connect if needed; True for a RE-connect (not the first one)."""
         if self.writer is not None:

@@ -5,7 +5,7 @@ When two nodes meet they exchange (a) their own current photo metadata and
 aggregate contact rate ``lambda``, and (b) -- in this implementation, as an
 explicit design choice -- their cached entries about third parties, keeping
 whichever copy is fresher.  The command center's metadata acts as the
-acknowledgment channel: an entry for node 0 tells a node which photos have
+acknowledgment channel: an entry for it tells a node which photos have
 already been delivered.
 
 Entries are validated lazily with Eq. 1 at read time; :meth:`MetadataCache.
@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.metadata import Photo
 from ..obs.runtime import active_telemetry
+from ..traces.model import COMMAND_CENTER_ID
 from .intercontact import DEFAULT_VALIDITY_THRESHOLD, metadata_is_valid
 
 __all__ = ["CacheEntry", "MetadataCache"]
@@ -85,8 +86,6 @@ class MetadataCache:
     ----------
     owner_id:
         The caching node (entries about itself are rejected).
-    command_center_id:
-        Entries for this node never expire.
     threshold:
         ``P_thld`` for Eq. 1 validation.
     """
@@ -94,13 +93,11 @@ class MetadataCache:
     def __init__(
         self,
         owner_id: int,
-        command_center_id: int = 0,
         threshold: float = DEFAULT_VALIDITY_THRESHOLD,
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         self.owner_id = owner_id
-        self.command_center_id = command_center_id
         self.threshold = threshold
         self._entries: Dict[int, CacheEntry] = {}
 
@@ -150,7 +147,7 @@ class MetadataCache:
         stale = [
             node_id
             for node_id, entry in self._entries.items()
-            if node_id != self.command_center_id
+            if node_id != COMMAND_CENTER_ID
             and not entry.is_valid_at(now, self.threshold)
         ]
         for node_id in stale:
@@ -174,7 +171,7 @@ class MetadataCache:
         for node_id, entry in sorted(self._entries.items()):
             if node_id in excluded:
                 continue
-            if node_id == self.command_center_id or entry.is_valid_at(now, self.threshold):
+            if node_id == COMMAND_CENTER_ID or entry.is_valid_at(now, self.threshold):
                 valid.append(entry)
             else:
                 expired += 1

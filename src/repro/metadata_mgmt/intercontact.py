@@ -39,14 +39,10 @@ class InterContactEstimator:
     over peers, which is what a node shares during contacts so that others
     can later validate its cached metadata.
 
-    A pair with fewer than ``min_observations`` gaps contributes the
-    optional ``prior_rate`` instead (``0.0`` -- i.e. "unknown, assume never"
-    -- by default, which keeps un-modeled nodes' metadata valid forever;
-    callers wanting conservative invalidation pass a positive prior).
+    A pair with no observed gap yet contributes rate ``0.0`` ("unknown,
+    assume never"), which keeps un-modeled nodes' metadata valid forever.
     """
 
-    min_observations: int = 1
-    prior_rate: float = 0.0
     _last_contact: Dict[int, float] = field(default_factory=dict)
     _gap_count: Dict[int, int] = field(default_factory=dict)
     _gap_total: Dict[int, float] = field(default_factory=dict)
@@ -66,12 +62,9 @@ class InterContactEstimator:
     def pair_rate(self, peer_id: int) -> float:
         """MLE of ``lambda_ab`` for this peer (per second)."""
         count = self._gap_count.get(peer_id, 0)
-        if count < self.min_observations:
-            return self.prior_rate
-        total = self._gap_total.get(peer_id, 0.0)
-        if total <= 0.0:
-            return self.prior_rate
-        return count / total
+        if count == 0:
+            return 0.0
+        return count / self._gap_total[peer_id]
 
     def aggregate_rate(self) -> float:
         """``lambda_a = sum_b lambda_ab`` -- the rate of meeting anyone."""

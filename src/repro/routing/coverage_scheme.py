@@ -43,6 +43,7 @@ from ..core.metadata import Photo
 from ..core.selection import StorageSpec, greedy_reallocate, greedy_select
 from ..core.transfer import build_transfer_plan, execute_transfer_plan
 from ..metadata_mgmt.cache import CacheEntry
+from ..traces.model import COMMAND_CENTER_ID
 from .base import RoutingScheme
 from .registry import register_scheme
 
@@ -199,7 +200,7 @@ class CoverageSelectionScheme(RoutingScheme):
                     entries[entry.node_id] = entry
         profiles = []
         for entry in sorted(entries.values(), key=lambda e: e.node_id):
-            probability = 1.0 if entry.node_id == self.sim.config.command_center_id else (
+            probability = 1.0 if entry.node_id == COMMAND_CENTER_ID else (
                 entry.delivery_probability
             )
             profiles.append(self._profile(entry.node_id, entry.photos, probability))

@@ -59,18 +59,15 @@ class PhotoNetScheme(RoutingScheme):
 
     name = "photonet"
 
-    def __init__(self, region_scale: float = 6300.0, time_scale: float = 3600.0 * 24.0) -> None:
-        super().__init__()
-        if region_scale <= 0.0 or time_scale <= 0.0:
-            raise ValueError("feature scales must be positive")
-        self.region_scale = region_scale
-        self.time_scale = time_scale
+    #: Feature normalizers: the Table I region edge (m) and one day (s).
+    REGION_SCALE_M = 6300.0
+    TIME_SCALE_S = 3600.0 * 24.0
 
     def _features(self, photo: Photo) -> Tuple[float, ...]:
         cache = self.sim.scratch.setdefault("photonet_features", {})
         cached = cache.get(photo.photo_id)
         if cached is None:
-            cached = photo_features(photo, self.region_scale, self.time_scale)
+            cached = photo_features(photo, self.REGION_SCALE_M, self.TIME_SCALE_S)
             cache[photo.photo_id] = cached
         return cached
 

@@ -138,10 +138,6 @@ class OrientationFilter:
         self._attitude: Optional[np.ndarray] = None
         self._last_timestamp: Optional[float] = None
 
-    @property
-    def attitude(self) -> Optional[np.ndarray]:
-        return None if self._attitude is None else self._attitude.copy()
-
     def update(self, reading: ImuReading) -> np.ndarray:
         """Fuse one IMU sample; returns the current attitude estimate."""
         try:

@@ -527,10 +527,6 @@ class PersistentSession:
     # -- read-only delegation ------------------------------------------
 
     @property
-    def command_center_id(self) -> int:
-        return self.session.command_center_id
-
-    @property
     def scheme_spec(self) -> str:
         return self.session.scheme_spec
 

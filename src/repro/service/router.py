@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..routing.registry import create_scheme, parse_scheme_spec
+from ..routing.registry import parse_scheme_spec
 
 __all__ = ["CHAMPION", "CHALLENGER", "RoutingConfig", "RouteDecision", "SchemeRouter"]
 
@@ -28,45 +28,37 @@ CHAMPION = "champion"
 CHALLENGER = "challenger"
 
 
-def _default_backend_factory(spec: str, variant: str) -> Any:
-    return create_scheme(spec)
-
-
 @dataclass(frozen=True)
 class RoutingConfig:
     """How traffic splits between the champion and the challenger.
 
-    ``champion_pct`` and ``challenger_pct`` must sum to 100; a non-zero
-    challenger share requires a challenger spec.  Specs use the registry's
-    ``"name:k=v"`` grammar and are grammar-checked at construction (not
-    registry-checked -- an unknown challenger is a runtime fallback, not a
-    config error, so a server can boot with a challenger that a plugin
-    registers later).
+    The champion serves whatever share the challenger does not
+    (``champion_pct``); a non-zero challenger share requires a challenger
+    spec.  Specs use the registry's ``"name:k=v"`` grammar and are
+    grammar-checked at construction (not registry-checked -- an unknown
+    challenger is a runtime fallback, not a config error, so a server can
+    boot with a challenger that a plugin registers later).
     """
 
     champion: str = "our-scheme"
     challenger: Optional[str] = None
-    champion_pct: float = 100.0
     challenger_pct: float = 0.0
     salt: str = ""
 
     def __post_init__(self) -> None:
-        for label, pct in (
-            ("champion_pct", self.champion_pct),
-            ("challenger_pct", self.challenger_pct),
-        ):
-            if not 0.0 <= pct <= 100.0:
-                raise ValueError(f"{label} must be in [0, 100], got {pct}")
-        total = self.champion_pct + self.challenger_pct
-        if abs(total - 100.0) > 1e-9:
+        if not 0.0 <= self.challenger_pct <= 100.0:
             raise ValueError(
-                f"champion_pct and challenger_pct must sum to 100, got {total}"
+                f"challenger_pct must be in [0, 100], got {self.challenger_pct}"
             )
         if self.challenger_pct > 0.0 and self.challenger is None:
             raise ValueError("challenger_pct > 0 requires a challenger spec")
         parse_scheme_spec(self.champion)
         if self.challenger is not None:
             parse_scheme_spec(self.challenger)
+
+    @property
+    def champion_pct(self) -> float:
+        return 100.0 - self.challenger_pct
 
     # ------------------------------------------------------------------
 
@@ -107,17 +99,16 @@ class SchemeRouter:
     """Routes per-user requests across champion/challenger backends.
 
     *backend_factory* builds one backend per variant from
-    ``(scheme_spec, variant_name)``; the default instantiates a bare
-    routing scheme, the service server passes a factory producing full
-    :class:`~repro.service.session.ServiceSession` worlds.  Backends are
-    built once and reused -- they are stateful worlds, not per-request
-    objects.
+    ``(scheme_spec, variant_name)``; the service server passes a factory
+    producing full :class:`~repro.service.session.ServiceSession` worlds.
+    Backends are built once and reused -- they are stateful worlds, not
+    per-request objects.
     """
 
     def __init__(
         self,
         config: RoutingConfig,
-        backend_factory: Callable[[str, str], Any] = _default_backend_factory,
+        backend_factory: Callable[[str, str], Any],
     ) -> None:
         self.config = config
         self._factory = backend_factory
@@ -180,11 +171,16 @@ class SchemeRouter:
         A challenger that raises falls back to the champion for this
         request (the exception is swallowed into the decision's reason);
         champion exceptions propagate -- there is nothing left to fall
-        back to.
+        back to.  A :class:`ValueError` is the request's fault, not the
+        variant's (a reused photo id, a stale time), so it propagates from
+        either variant: the champion never runs a request the challenger
+        refused.
         """
         decision = self.route(user_id)
         try:
             return decision, fn(decision.backend)
+        except ValueError:
+            raise
         except Exception as exc:  # noqa: BLE001 - challenger errors demote
             if decision.variant != CHALLENGER:
                 raise

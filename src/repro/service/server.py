@@ -38,6 +38,7 @@ from ..core.poi import PoIList
 from ..dtn.simulator import SimulationConfig
 from ..obs.manifest import build_service_manifest, write_manifest
 from ..obs.registry import MetricsRegistry
+from ..traces.model import COMMAND_CENTER_ID
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -67,8 +68,8 @@ REQUEST_LATENCY_BUCKETS: Tuple[float, ...] = (
 class ServiceMetrics:
     """The server's metric families, on one :class:`MetricsRegistry`."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.connections = self.registry.counter(
             "repro_service_connections_total", "TCP connections accepted"
         )
@@ -149,7 +150,6 @@ class CommandCenterServer:
         host: str = "127.0.0.1",
         port: int = 0,
         manifest_path: Optional[str] = None,
-        registry: Optional[MetricsRegistry] = None,
         ready_callback: Optional[Callable[[str, int], None]] = None,
         time_policy: str = "strict",
         persistence: Optional[PersistenceConfig] = None,
@@ -158,7 +158,7 @@ class CommandCenterServer:
         self.port = port
         self.manifest_path = manifest_path
         self.routing = routing if routing is not None else RoutingConfig()
-        self.metrics = ServiceMetrics(registry)
+        self.metrics = ServiceMetrics()
         self.persistence = persistence
         self.recoveries: Dict[str, WalRecovery] = {}
         sim_config = config if config is not None else SimulationConfig()
@@ -435,11 +435,7 @@ class CommandCenterServer:
         user = payload.get("user")
         if user is None:
             # Route by the non-center participant (uplinks), else node a.
-            cc_id = self.router.champion.command_center_id
-            if node_a == cc_id:
-                user = node_b
-            else:
-                user = node_a
+            user = node_b if node_a == COMMAND_CENTER_ID else node_a
         elif isinstance(user, bool) or not isinstance(user, int):
             raise ProtocolError(f"field 'user' must be an integer, got {user!r}")
         decision, outcome = self.router.dispatch(

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.poi import PoIList
 from ..dtn.simulator import Simulation, SimulationConfig
 from ..routing.registry import create_scheme
-from ..traces.model import ContactTrace
+from ..traces.model import COMMAND_CENTER_ID, ContactTrace
 
 __all__ = [
     "TIME_POLICIES",
@@ -152,10 +152,6 @@ class ServiceSession:
 
     # ------------------------------------------------------------------
 
-    @property
-    def command_center_id(self) -> int:
-        return self.simulation.config.command_center_id
-
     def _advance(self, now: float) -> float:
         """Move the session clock to *now*; returns the effective time.
 
@@ -187,7 +183,7 @@ class ServiceSession:
         """Start *node_id*'s crash process at its first-seen instant."""
         if not self._churn_active or node_id in self._churn_tracked:
             return
-        if node_id == self.command_center_id:
+        if node_id == COMMAND_CENTER_ID:
             return
         # Independent per-node streams keep crash draws from perturbing
         # the injector's shared transfer/metadata fault stream.
@@ -224,11 +220,18 @@ class ServiceSession:
     # ------------------------------------------------------------------
 
     def ingest(self, owner_id: int, photo, now: float) -> IngestOutcome:
-        """Participant *owner_id* reports taking *photo* at *now*."""
-        if owner_id == self.command_center_id:
+        """Participant *owner_id* reports taking *photo* at *now*.
+
+        Raises :class:`ValueError`, changing nothing, when the owner already
+        holds a photo with *photo*'s id: storage keeps one photo per id.
+        """
+        if owner_id == COMMAND_CENTER_ID:
             raise ValueError("the command center does not take photos")
-        now = self._advance(now)
         sim = self.simulation
+        held = sim.nodes.get(owner_id)
+        if held is not None and photo.photo_id in held.storage:
+            raise ValueError(f"user {owner_id} already holds photo id {photo.photo_id}")
+        now = self._advance(now)
         node = sim.ensure_node(owner_id)
         self._track_churn(owner_id, now)
         dispatched = sim.handle_photo_created(owner_id, photo, now)
@@ -243,9 +246,8 @@ class ServiceSession:
     ):
         """One contact; uplinks (a side is the command center) return a
         :class:`SelectionOutcome`, peer contacts a :class:`ContactOutcome`."""
-        cc_id = self.command_center_id
-        if cc_id in (node_a_id, node_b_id):
-            participant = node_b_id if node_a_id == cc_id else node_a_id
+        if COMMAND_CENTER_ID in (node_a_id, node_b_id):
+            participant = node_b_id if node_a_id == COMMAND_CENTER_ID else node_a_id
             return self.select_on_contact(participant, now, duration)
         now = self._advance(now)
         sim = self.simulation
@@ -267,9 +269,7 @@ class ServiceSession:
         self._track_churn(node_id, now)
         center = sim.command_center
         before = center.received_count
-        processed = sim.handle_contact(
-            node_id, self.command_center_id, now, duration
-        )
+        processed = sim.handle_contact(node_id, COMMAND_CENTER_ID, now, duration)
         # The center never drops a photo, so this uplink's deliveries are
         # the newest entries of its storage.
         delivered = center.storage.newest_ids(center.received_count - before)

@@ -16,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["ContactRecord", "ContactTrace"]
+__all__ = ["COMMAND_CENTER_ID", "ContactRecord", "ContactTrace"]
+
+#: Node id of the command center, ``n_0`` of Definition 2.  A contact with
+#: it is a gateway uplink.
+COMMAND_CENTER_ID = 0
 
 
 @dataclass(frozen=True, order=True)

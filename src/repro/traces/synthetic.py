@@ -30,7 +30,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .model import ContactRecord, ContactTrace
+from .model import COMMAND_CENTER_ID, ContactRecord, ContactTrace
 
 __all__ = [
     "SyntheticTraceSpec",
@@ -177,7 +177,6 @@ def cambridge06_like(seed: int = 0, duration_hours: float = 200.0) -> ContactTra
 def gateway_uplink_contacts(
     gateway_ids: Sequence[int],
     end_time_s: float,
-    command_center_id: int = 0,
     mean_interval_s: float = 7200.0,
     mean_duration_s: float = 600.0,
     seed: int = 0,
@@ -194,11 +193,11 @@ def gateway_uplink_contacts(
     rng = np.random.default_rng(seed)
     contacts: List[ContactRecord] = []
     for gateway in gateway_ids:
-        if gateway == command_center_id:
+        if gateway == COMMAND_CENTER_ID:
             raise ValueError("the command center cannot be its own gateway")
         time = rng.exponential(mean_interval_s)
         while time < end_time_s:
             duration = rng.exponential(mean_duration_s)
-            contacts.append(ContactRecord(time, gateway, command_center_id, duration))
+            contacts.append(ContactRecord(time, gateway, COMMAND_CENTER_ID, duration))
             time += rng.exponential(mean_interval_s)
     return ContactTrace(contacts, name=name)

@@ -93,7 +93,7 @@ class TestAngularInterval:
         assert not arc.contains(math.pi)
 
     def test_full_circle_contains_everything(self):
-        arc = AngularInterval.full_circle()
+        arc = AngularInterval(0.0, TWO_PI)
         for angle in (0.0, 1.0, 3.0, 6.0):
             assert arc.contains(angle)
 
@@ -151,7 +151,7 @@ class TestArcSet:
         assert len(list(arcs.segments())) == 2
 
     def test_full_circle_capped(self):
-        arcs = ArcSet([AngularInterval.full_circle(), AngularInterval(0.0, 1.0)])
+        arcs = ArcSet([AngularInterval(0.0, TWO_PI), AngularInterval(0.0, 1.0)])
         assert arcs.measure() == pytest.approx(TWO_PI)
 
     def test_gain_of_disjoint_is_full_width(self):

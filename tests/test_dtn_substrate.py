@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from repro.core.metadata import Photo
 from repro.dtn.events import Event, EventKind, EventQueue
 from repro.dtn.node import COMMAND_CENTER_ID, CommandCenter, DTNNode
+from repro.dtn.simulator import SimulationConfig
 from repro.dtn.storage import NodeStorage, StorageFullError
+from repro.metadata_mgmt.cache import CacheEntry
+from repro.metadata_mgmt.intercontact import InterContactEstimator
 from repro.workload.photos import PhotoArrival
 
 from helpers import MB, make_photo
@@ -37,6 +40,69 @@ PRE_LANE_QUEUE_PICKLE = (
     b"\x94ubt\x94(G@\"\x00\x00\x00\x00\x00\x00K\x05K\x01h\x08)\x81\x94}\x94(h\x0bG@\"\x00\x00"
     b"\x00\x00\x00\x00h\x0cK\x05h\rNubt\x94e\x8c\t_sequence\x94\x8c\titertools\x94\x8c\x05count"
     b"\x94\x93\x94K\x02\x85\x94R\x94ub."
+)
+
+
+#: ``pickle.dumps(obj, protocol=4)`` of objects from when the command
+#: center's id and the estimator's ``min_observations`` and ``prior_rate``
+#: were settings, each at the value every caller used; service snapshots
+#: hold all three.  ``SimulationConfig()``; ``DTNNode(3, 1000)`` after
+#: contacts with node 2 at 0 and 100 s and a PROPHET encounter with the
+#: command center at 0 s; an ``InterContactEstimator`` after contacts with
+#: node 2 at 0, 50 and 150 s and with node 5 at 20 s.
+SETTINGS_ERA_CONFIG_PICKLE = bytes.fromhex(
+    "8004959c010000000000008c13726570726f2e64746e2e73696d756c61746f72"
+    "948c1053696d756c6174696f6e436f6e6669679493942981947d94288c0d7374"
+    "6f726167655f6279746573944a666666268c1562616e6477696474685f627974"
+    "65735f7065725f73944741400000000000008c12756e6c696d697465645f636f"
+    "6e746163747394898c16636f6e746163745f6475726174696f6e5f6361705f73"
+    "944e8c0f6566666563746976655f616e676c6594473fe0c152382d73658c1276"
+    "616c69646974795f7468726573686f6c6494473fe999999999999a8c0770726f"
+    "70686574948c15726570726f2e726f7574696e672e70726f70686574948c1150"
+    "726f70686574506172616d65746572739493942981947d94288c06705f696e69"
+    "7494473fe80000000000008c046265746194473fd00000000000008c0567616d"
+    "6d6194473fef5c28f5c28f5c8c0974696d655f756e6974944740ac2000000000"
+    "0075628c1173616d706c655f696e74657276616c5f73944740e1940000000000"
+    "8c11636f6d6d616e645f63656e7465725f6964944b008c0a6661756c745f706c"
+    "616e944e75622e"
+)
+SETTINGS_ERA_NODE_PICKLE = bytes.fromhex(
+    "8004953d030000000000008c0e726570726f2e64746e2e6e6f6465948c074454"
+    "4e4e6f64659493942981947d94288c076e6f64655f6964944b038c0a69735f67"
+    "61746577617994898c0773746f72616765948c11726570726f2e64746e2e7374"
+    "6f72616765948c0b4e6f646553746f726167659493942981947d94288c0e6361"
+    "7061636974795f6279746573944de8038c075f70686f746f73947d948c055f75"
+    "736564944b0075628c056361636865948c19726570726f2e6d65746164617461"
+    "5f6d676d742e6361636865948c0d4d6574616461746143616368659493942981"
+    "947d94288c086f776e65725f6964944b038c11636f6d6d616e645f63656e7465"
+    "725f6964944b008c097468726573686f6c6494473fe999999999999a8c085f65"
+    "6e7472696573947d9475628c09657374696d61746f72948c20726570726f2e6d"
+    "657461646174615f6d676d742e696e746572636f6e74616374948c15496e7465"
+    "72436f6e74616374457374696d61746f729493942981947d94288c106d696e5f"
+    "6f62736572766174696f6e73944b018c0a7072696f725f726174659447000000"
+    "00000000008c0d5f6c6173745f636f6e74616374947d944b0247405900000000"
+    "0000738c0a5f6761705f636f756e74947d944b024b01738c0a5f6761705f746f"
+    "74616c947d944b024740590000000000007375628c0770726f70686574948c15"
+    "726570726f2e726f7574696e672e70726f70686574948c0c50726f7068657454"
+    "61626c659493942981947d942868174b038c06706172616d7394682b8c115072"
+    "6f70686574506172616d65746572739493942981947d94288c06705f696e6974"
+    "94473fe80000000000008c046265746194473fd00000000000008c0567616d6d"
+    "6194473fef5c28f5c28f5c8c0974696d655f756e6974944740ac200000000000"
+    "75628c0f5f707265646963746162696c697479947d944b00473fe80000000000"
+    "00738c0a5f6c6173745f61676564947d944b0047000000000000000073756268"
+    "184b008c0773637261746368947d948c0f5f70726f706865745f706172616d73"
+    "9468338c135f76616c69646974795f7468726573686f6c6494473fe999999999"
+    "999a8c05616c69766594888c0b63726173685f636f756e74944b008c06666175"
+    "6c7473944e75622e"
+)
+SETTINGS_ERA_ESTIMATOR_PICKLE = bytes.fromhex(
+    "800495ca000000000000008c20726570726f2e6d657461646174615f6d676d74"
+    "2e696e746572636f6e74616374948c15496e746572436f6e7461637445737469"
+    "6d61746f729493942981947d94288c106d696e5f6f62736572766174696f6e73"
+    "944b018c0a7072696f725f72617465944700000000000000008c0d5f6c617374"
+    "5f636f6e74616374947d94284b02474062c000000000004b0547403400000000"
+    "0000758c0a5f6761705f636f756e74947d944b024b02738c0a5f6761705f746f"
+    "74616c947d944b02474062c000000000007375622e"
 )
 
 
@@ -302,3 +368,37 @@ class TestCommandCenter:
         photo = make_photo(0, 0, 0)
         center.receive(photo)
         assert center.photos() == [photo]
+
+
+class TestUnpicklesSettingsEraObjects:
+    def test_loaded_objects_behave_like_fresh_ones(self):
+        assert pickle.loads(SETTINGS_ERA_CONFIG_PICKLE) == SimulationConfig()
+
+        estimator = pickle.loads(SETTINGS_ERA_ESTIMATOR_PICKLE)
+        fresh_estimator = InterContactEstimator()
+        for peer, time in ((2, 0.0), (2, 50.0), (2, 150.0), (5, 20.0)):
+            fresh_estimator.record_contact(peer, time)
+        assert estimator == fresh_estimator
+        assert estimator.pair_rate(2) == fresh_estimator.pair_rate(2) == 2 / 150.0
+        assert estimator.pair_rate(5) == 0.0
+        assert estimator.aggregate_rate() == fresh_estimator.aggregate_rate()
+
+        node = pickle.loads(SETTINGS_ERA_NODE_PICKLE)
+        fresh = DTNNode(3, 1000)
+        fresh.estimator.record_contact(2, 0.0)
+        fresh.estimator.record_contact(2, 100.0)
+        fresh.prophet.on_encounter(COMMAND_CENTER_ID, now=0.0)
+        # An entry Eq. 1 would expire at once, but the command center's
+        # entries never expire.
+        center = CacheEntry(COMMAND_CENTER_ID, (), 100.0, 0.0, 1.0)
+        for candidate in (node, fresh):
+            candidate.cache.store(center)
+            assert candidate.cache.purge_stale(now=1e6) == 0
+        for now in (0.0, 500.0):
+            assert node.delivery_probability(now) == fresh.delivery_probability(now)
+            assert node.snapshot_metadata(now) == fresh.snapshot_metadata(now)
+        node.crash()
+        fresh.crash()
+        node.cache.store(center)
+        assert node.cache.purge_stale(now=1e6) == 0
+        assert node.delivery_probability(10.0) == fresh.delivery_probability(10.0)

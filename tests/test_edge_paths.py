@@ -179,12 +179,6 @@ class TestMiscConstruction:
         with pytest.raises(ValueError):
             CoverageSelectionScheme(min_delivery_probability=1.5)
 
-    def test_index_custom_cell_size(self):
-        pois = PoIList.from_points([Point(0.0, 0.0), Point(1000.0, 1000.0)])
-        index = CoverageIndex(pois, effective_angle=THETA, cell_size=50.0)
-        photo = photo_at_aspect(Point(0.0, 0.0), 0.0)
-        assert [poi_id for poi_id, _ in index.incidences(photo)] == [0]
-
     def test_line_chart_y_label(self):
         from repro.experiments.asciiplot import line_chart
 

@@ -71,8 +71,8 @@ class TestRunPlan:
             unit.key()
             != RunUnit(spec=small_spec(0), scheme="our-scheme:min_delivery_probability=0.1").key()
         )
-        # Config-affecting spec fields (fault plan included) change the key.
-        faulty = replace(small_spec(0), fault_plan=FaultPlan(contact_drop_probability=0.2))
+        # Config-affecting spec fields (fault intensity included) change the key.
+        faulty = replace(small_spec(0), fault_intensity=0.2)
         assert unit.key() != RunUnit(spec=faulty, scheme="our-scheme").key()
 
 

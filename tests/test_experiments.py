@@ -123,7 +123,7 @@ class TestRunner:
         assert a is not b
 
     def test_run_comparison_small(self):
-        spec = ScenarioSpec(scale=0.05, seed=0, sample_interval_hours=20.0)
+        spec = ScenarioSpec(scale=0.05, seed=0)
         results = default_engine().run_comparison(
             spec, ("our-scheme", "spray-and-wait"), num_runs=2
         )

@@ -67,7 +67,7 @@ def engine_manifest():
 def service_manifest(tmp_path_factory):
     routing = RoutingConfig(
         champion="our-scheme", challenger="spray-and-wait",
-        champion_pct=50.0, challenger_pct=50.0,
+        challenger_pct=50.0,
     )
     persistence = PersistenceConfig(wal_dir=tmp_path_factory.mktemp("wal"), fsync="off")
     with running_server(routing=routing, persistence=persistence) as server:

@@ -21,9 +21,9 @@ from helpers import make_photo
 
 class TestInterContactEstimator:
     def test_no_history_uses_prior(self):
-        estimator = InterContactEstimator(prior_rate=0.5)
+        estimator = InterContactEstimator()
         estimator.record_contact(2, 100.0)
-        assert estimator.pair_rate(2) == 0.5
+        assert estimator.pair_rate(2) == 0.0
 
     def test_mle_rate_from_gaps(self):
         estimator = InterContactEstimator()
@@ -51,14 +51,6 @@ class TestInterContactEstimator:
         estimator.record_contact(2, 100.0)
         estimator.record_contact(2, 100.0)
         assert estimator.pair_rate(2) == 0.0  # still no gap observed
-
-    def test_min_observations_gate(self):
-        estimator = InterContactEstimator(min_observations=3, prior_rate=0.0)
-        for t in (0.0, 100.0, 200.0):
-            estimator.record_contact(2, t)
-        assert estimator.pair_rate(2) == 0.0  # only 2 gaps < 3 required
-        estimator.record_contact(2, 300.0)
-        assert estimator.pair_rate(2) == pytest.approx(0.01)
 
     def test_peers_listing(self):
         estimator = InterContactEstimator()
@@ -170,7 +162,7 @@ class TestMetadataCache:
         assert 2 not in cache
 
     def test_command_center_never_purged(self):
-        cache = MetadataCache(owner_id=1, command_center_id=0)
+        cache = MetadataCache(owner_id=1)
         cache.store(entry(0, 0.0, rate=100.0))
         assert cache.purge_stale(now=1e9) == 0
         assert 0 in cache

@@ -436,10 +436,6 @@ class TestPhotoNet:
         assert junk_far.photo_id in delivered
         assert covering.photo_id not in delivered
 
-    def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            PhotoNetScheme(region_scale=0.0)
-
 
 class TestContactStateOwnership:
     """PROPHET and contact history are filled only by the scheme that reads them."""

@@ -13,6 +13,7 @@ import pytest
 from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoIList
+from repro.dtn import COMMAND_CENTER_ID
 from repro.dtn.events import EventKind
 from repro.dtn.simulator import Simulation
 from repro.experiments.config import ScenarioSpec
@@ -277,8 +278,7 @@ class TestRecovery:
         config = PersistenceConfig(wal_dir=tmp_path, fsync="always")
         ps = PersistentSession(session_factory(pois), config, "champion")
         ps.ingest(1, make_photo(owner_id=1), 0.0)
-        cc_id = ps.command_center_id
-        ps.contact(1, cc_id, 10.0, 600.0)
+        ps.contact(1, COMMAND_CENTER_ID, 10.0, 600.0)
         before = ps.coverage()
         del ps  # abrupt death: no close, no flush beyond the fsync policy
 
@@ -425,7 +425,7 @@ class TestSnapshotCompaction:
 
 class TestRecoveryByteIdentity:
     def test_kill_and_recover_matches_simulation(self, tmp_path):
-        scenario = ScenarioSpec(scale=0.05, seed=3, sample_interval_hours=20.0).build()
+        scenario = ScenarioSpec(scale=0.05, seed=3).build()
         sim = Simulation(
             trace=scenario.trace,
             pois=scenario.pois,
@@ -488,8 +488,9 @@ class TestServerPersistenceIntegration:
             with ServiceClient(*server.address) as client:
                 photo = make_photo(owner_id=1)
                 client.ingest(1, photo, now=0.0)
-                cc_id = server.router.champion.command_center_id
-                response = client.contact(1, cc_id, now=10.0, duration=600.0)
+                response = client.contact(
+                    1, COMMAND_CENTER_ID, now=10.0, duration=600.0
+                )
                 assert response["delivered"] == [photo.photo_id]
                 first_coverage = client.coverage()["variants"]["champion"]
 
@@ -534,7 +535,6 @@ class TestServerPersistenceIntegration:
         routing = RoutingConfig(
             champion="our-scheme",
             challenger="spray-and-wait",
-            champion_pct=0.0,
             challenger_pct=100.0,
         )
         with running_server(

@@ -20,39 +20,31 @@ class TestRoutingConfigValidation:
         assert config.challenger is None
         assert config.champion_pct == 100.0
 
-    @pytest.mark.parametrize(
-        "champion_pct,challenger_pct",
-        [(50.0, 40.0), (100.0, 10.0), (0.0, 0.0), (99.0, 0.5)],
-    )
-    def test_split_must_sum_to_100(self, champion_pct, challenger_pct):
-        with pytest.raises(ValueError, match="must sum to 100"):
-            RoutingConfig(
-                challenger="epidemic",
-                champion_pct=champion_pct,
-                challenger_pct=challenger_pct,
-            )
+    @pytest.mark.parametrize("challenger_pct", [0.0, 20.0, 40.0, 100.0])
+    def test_champion_serves_the_rest(self, challenger_pct):
+        config = RoutingConfig(challenger="epidemic", challenger_pct=challenger_pct)
+        assert config.champion_pct == 100.0 - challenger_pct
+        assert config.describe()["champion_pct"] == 100.0 - challenger_pct
 
     @pytest.mark.parametrize("pct", [-1.0, 101.0])
     def test_percentages_bounded(self, pct):
         with pytest.raises(ValueError, match=r"must be in \[0, 100\]"):
-            RoutingConfig(challenger="epidemic", champion_pct=pct,
-                          challenger_pct=100.0 - pct)
+            RoutingConfig(challenger="epidemic", challenger_pct=pct)
 
     def test_challenger_share_requires_challenger_spec(self):
         with pytest.raises(ValueError, match="requires a challenger"):
-            RoutingConfig(champion_pct=80.0, challenger_pct=20.0)
+            RoutingConfig(challenger_pct=20.0)
 
     def test_specs_are_grammar_checked(self):
         with pytest.raises(ValueError):
             RoutingConfig(champion="our-scheme:no_equals_sign")
         with pytest.raises(ValueError):
-            RoutingConfig(challenger=":x=1", champion_pct=90.0, challenger_pct=10.0)
+            RoutingConfig(challenger=":x=1", challenger_pct=10.0)
 
     def test_unregistered_challenger_is_allowed_at_config_time(self):
         # Unknown names are a runtime fallback, not a config error.
         config = RoutingConfig(
             challenger="not-a-registered-scheme",
-            champion_pct=50.0,
             challenger_pct=50.0,
         )
         assert config.challenger == "not-a-registered-scheme"
@@ -62,7 +54,6 @@ class TestDeterministicRouting:
     CONFIG = RoutingConfig(
         champion="our-scheme",
         challenger="spray-and-wait",
-        champion_pct=50.0,
         challenger_pct=50.0,
     )
 
@@ -78,7 +69,6 @@ class TestDeterministicRouting:
         clone = RoutingConfig(
             champion="our-scheme",
             challenger="spray-and-wait",
-            champion_pct=50.0,
             challenger_pct=50.0,
         )
         for user_id in range(200):
@@ -93,7 +83,6 @@ class TestDeterministicRouting:
         salted = RoutingConfig(
             champion="our-scheme",
             challenger="spray-and-wait",
-            champion_pct=50.0,
             challenger_pct=50.0,
             salt="v2",
         )
@@ -141,7 +130,6 @@ class TestSchemeRouter:
         config = RoutingConfig(
             champion="our-scheme",
             challenger="epidemic",
-            champion_pct=50.0,
             challenger_pct=50.0,
         )
         return SchemeRouter(config, backend_factory=factory), backends, config
@@ -195,6 +183,20 @@ class TestSchemeRouter:
         assert backends[CHALLENGER].calls == 1  # it was tried first
         assert router.fallbacks == 1
 
+    def test_challenger_request_error_propagates_without_fallback(self):
+        router, backends, config = self.make_router()
+        user = self._user_on(config, CHALLENGER)
+
+        def refuse(backend):
+            backend.calls += 1
+            raise ValueError("bad request")
+
+        with pytest.raises(ValueError, match="bad request"):
+            router.dispatch(user, refuse)
+        assert backends[CHALLENGER].calls == 1
+        assert backends[CHAMPION].calls == 0
+        assert router.fallbacks == 0
+
     def test_champion_request_failure_propagates(self):
         router, backends, config = self.make_router()
         backends[CHAMPION].fail = True
@@ -216,11 +218,14 @@ class TestSchemeRouter:
         router.route(self._user_on(config, CHALLENGER))
         assert set(router.backends()) == {CHAMPION, CHALLENGER}
 
-    def test_default_factory_builds_routing_schemes(self):
-        from repro.routing.base import RoutingScheme
-
-        router = SchemeRouter(RoutingConfig(champion="epidemic"))
-        assert isinstance(router.champion, RoutingScheme)
+    def test_factory_gets_spec_and_variant(self):
+        calls = []
+        router = SchemeRouter(
+            RoutingConfig(champion="epidemic", challenger="direct", challenger_pct=50.0),
+            backend_factory=lambda spec, variant: calls.append((spec, variant)) or spec,
+        )
+        router.route(self._user_on(router.config, CHALLENGER))
+        assert calls == [("epidemic", CHAMPION), ("direct", CHALLENGER)]
 
     def test_describe_summarizes_config(self):
         router, _, _ = self.make_router()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
@@ -12,6 +13,7 @@ import pytest
 from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
 from repro.core.poi import PoIList
+from repro.dtn import COMMAND_CENTER_ID
 from repro.dtn.simulator import Simulation
 from repro.experiments.config import ScenarioSpec
 from repro.obs.manifest import load_manifest, validate_manifest
@@ -80,8 +82,9 @@ class TestServerBasics:
                 photo = make_photo(owner_id=1)
                 ingest = client.ingest(1, photo, now=0.0)
                 assert ingest["stored"] and ingest["buffered"] == 1
-                cc_id = server.router.champion.command_center_id
-                response = client.contact(1, cc_id, now=10.0, duration=600.0)
+                response = client.contact(
+                    1, COMMAND_CENTER_ID, now=10.0, duration=600.0
+                )
                 assert response["kind"] == "selection"
                 assert response["delivered"] == [photo.photo_id]
                 assert response["delivered_total"] == 1
@@ -104,6 +107,24 @@ class TestServerErrors:
                 assert excinfo.value.code == "stale-time"
                 # The connection survives the error.
                 assert client.ping()["ok"]
+
+    def test_reused_photo_id_is_a_bad_request(self, pois):
+        with running_server(pois=pois) as server:
+            with ServiceClient(*server.address) as client:
+                first = dataclasses.replace(make_photo(10.0, 10.0), photo_id=5)
+                assert client.ingest(1, first, now=0.0)["stored"]
+                other = dataclasses.replace(make_photo(900.0, 900.0), photo_id=5)
+                with pytest.raises(ServiceError) as excinfo:
+                    client.ingest(1, other, now=10.0)
+                assert excinfo.value.code == "bad-request"
+                assert "already holds photo id 5" in str(excinfo.value)
+                report = client.coverage()["variants"]["champion"]
+                assert report["created_photos"] == 1
+                response = client.contact(
+                    1, COMMAND_CENTER_ID, now=20.0, duration=600.0
+                )
+                assert response["delivered"] == [5]
+                assert response["point_coverage"] == 0.5
 
     def test_malformed_json_does_not_kill_the_connection(self, pois):
         with running_server(pois=pois) as server:
@@ -192,7 +213,6 @@ class TestChampionChallenger:
     ROUTING = RoutingConfig(
         champion="our-scheme",
         challenger="spray-and-wait",
-        champion_pct=50.0,
         challenger_pct=50.0,
     )
 
@@ -210,11 +230,27 @@ class TestChampionChallenger:
                         assert response["variant"] == expected
                         assert not response["fell_back"]
 
+    def test_challenger_refusal_never_reaches_the_champion(self, pois):
+        user = next(
+            u for u in range(1, 1000) if self.ROUTING.variant_for(u) == "challenger"
+        )
+        with running_server(pois=pois, routing=self.ROUTING) as server:
+            with ServiceClient(*server.address) as client:
+                photo = dataclasses.replace(make_photo(owner_id=user), photo_id=5)
+                assert client.ingest(user, photo, now=0.0)["variant"] == "challenger"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.ingest(user, photo, now=1.0)
+                assert excinfo.value.code == "bad-request"
+                variants = client.coverage()["variants"]
+                stats = client.stats()
+        assert variants["champion"]["created_photos"] == 0
+        assert variants["challenger"]["created_photos"] == 1
+        assert stats["router"]["fallbacks"] == 0
+
     def test_unbuildable_challenger_falls_back_over_the_wire(self, pois):
         routing = RoutingConfig(
             champion="our-scheme",
             challenger="no-such-scheme",
-            champion_pct=50.0,
             challenger_pct=50.0,
         )
         challenger_user = next(
@@ -239,8 +275,7 @@ class TestManifest:
         with running_server(pois=pois, manifest_path=str(manifest_path)) as server:
             with ServiceClient(*server.address) as client:
                 client.ingest(1, make_photo(), now=0.0)
-                cc_id = server.router.champion.command_center_id
-                client.contact(1, cc_id, now=5.0, duration=600.0)
+                client.contact(1, COMMAND_CENTER_ID, now=5.0, duration=600.0)
                 client.shutdown()
         manifest = load_manifest(str(manifest_path))
         assert validate_manifest(manifest) == []
@@ -261,7 +296,6 @@ class TestManifest:
         routing = RoutingConfig(
             champion="our-scheme",
             challenger="spray-and-wait",
-            champion_pct=0.0,
             challenger_pct=100.0,
         )
         with running_server(
@@ -290,7 +324,7 @@ class TestLiveReplayByteIdentical:
     """The tentpole guarantee, proven over real sockets."""
 
     def test_socket_replay_equals_simulation(self):
-        spec = ScenarioSpec(scale=0.05, seed=3, sample_interval_hours=20.0)
+        spec = ScenarioSpec(scale=0.05, seed=3)
         scenario = spec.build()
 
         sim = Simulation(

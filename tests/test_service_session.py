@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.geometry import Point
 from repro.core.metadata import Photo, PhotoMetadata
+from repro.dtn import COMMAND_CENTER_ID
 from repro.dtn.events import EventKind
 from repro.dtn.faults import FaultPlan
 from repro.dtn.simulator import Simulation, SimulationConfig
@@ -109,7 +113,20 @@ class TestServiceSessionBasics:
     def test_command_center_does_not_take_photos(self, pois):
         session = ServiceSession("our-scheme", pois)
         with pytest.raises(ValueError, match="command center"):
-            session.ingest(session.command_center_id, make_photo(), now=0.0)
+            session.ingest(COMMAND_CENTER_ID, make_photo(), now=0.0)
+
+    def test_reused_photo_id_is_refused_and_changes_nothing(self, pois):
+        session = ServiceSession("our-scheme", pois)
+        first = dataclasses.replace(make_photo(10.0, 10.0, owner_id=1), photo_id=5)
+        assert session.ingest(1, first, now=0.0).stored
+        other = dataclasses.replace(make_photo(900.0, 900.0, owner_id=1), photo_id=5)
+        world = pickle.dumps(session)
+        with pytest.raises(ValueError, match="already holds photo id 5"):
+            session.ingest(1, other, now=10.0)
+        assert pickle.dumps(session) == world
+        assert session.simulation.nodes[1].storage.photos() == [first]
+        # The check is per owner: another user's photo with that id passes.
+        assert session.ingest(2, other, now=10.0).stored
 
     def test_contact_dispatches_node_pair(self, pois):
         session = ServiceSession("epidemic", pois)
@@ -124,7 +141,7 @@ class TestServiceSessionBasics:
         session = ServiceSession("our-scheme", pois)
         photo = make_photo(owner_id=1)
         session.ingest(1, photo, now=0.0)
-        outcome = session.contact(1, session.command_center_id, now=10.0, duration=600.0)
+        outcome = session.contact(1, COMMAND_CENTER_ID, now=10.0, duration=600.0)
         assert isinstance(outcome, SelectionOutcome)
         assert outcome.processed
         assert outcome.delivered_photo_ids == [photo.photo_id]
@@ -302,7 +319,7 @@ class TestByteIdenticalReplay:
 
     @pytest.mark.parametrize("scheme", ["our-scheme", "spray-and-wait", "epidemic"])
     def test_replay_equals_simulation(self, scheme):
-        spec = ScenarioSpec(scale=0.05, seed=3, sample_interval_hours=20.0)
+        spec = ScenarioSpec(scale=0.05, seed=3)
         scenario = spec.build()
 
         sim = Simulation(
@@ -341,7 +358,7 @@ class TestByteIdenticalReplay:
 
     def test_wire_round_trip_stays_byte_identical(self):
         """Photos that crossed the JSON codec still select identically."""
-        spec = ScenarioSpec(scale=0.05, seed=5, sample_interval_hours=20.0)
+        spec = ScenarioSpec(scale=0.05, seed=5)
         scenario = spec.build()
 
         sim = Simulation(
