@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Point, Sector, coverage_range_from_fov
+from .geometry import Point, Sector
 
 __all__ = ["PhotoMetadata", "Photo", "DEFAULT_PHOTO_SIZE_BYTES"]
 
@@ -47,22 +47,6 @@ class PhotoMetadata:
             raise ValueError(f"coverage_range must be non-negative, got {self.coverage_range}")
         if not 0.0 < self.field_of_view < math.pi:
             raise ValueError(f"field_of_view must be in (0, pi), got {self.field_of_view}")
-
-    @classmethod
-    def from_camera(
-        cls,
-        location: Point,
-        field_of_view: float,
-        orientation: float,
-        range_scale: float = 50.0,
-    ) -> "PhotoMetadata":
-        """Build metadata computing ``r`` from the fov, as the prototype does."""
-        return cls(
-            location=location,
-            coverage_range=coverage_range_from_fov(field_of_view, range_scale),
-            field_of_view=field_of_view,
-            orientation=orientation,
-        )
 
     def sector(self) -> Sector:
         """The coverage area of the photo as a geometric sector."""

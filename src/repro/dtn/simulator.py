@@ -224,6 +224,15 @@ class Simulation:
             return True
         return self.faults.transfer_survives()
 
+    @property
+    def transfers_can_fail(self) -> bool:
+        """Whether :meth:`transfer_survives` draws a random number per call.
+
+        When False it returns True without touching any state, so a
+        routing loop may skip calling it without changing the run.
+        """
+        return self.faults is not None and self.faults.plan.transfer_drop_probability > 0.0
+
     def deliver(self, photo: Photo) -> bool:
         """Hand *photo* to the command center; returns False on duplicate."""
         if self.command_center.receive(photo):

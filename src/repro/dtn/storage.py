@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.metadata import Photo
@@ -29,6 +30,9 @@ class NodeStorage:
         self.capacity_bytes = capacity_bytes
         self._photos: Dict[int, Photo] = {}
         self._used = 0
+        #: The smallest size ever stored (removals leave it), so a lower
+        #: bound on every stored photo's size; ``inf`` before the first.
+        self._min_size: float = math.inf
         #: ``(value function, min-heap of (value, -photo_id))``, built by
         #: :meth:`least_valuable`; the heap may hold removed photos.
         self._index: Optional[Tuple[Callable[[Photo], Any], List[tuple]]] = None
@@ -41,10 +45,29 @@ class NodeStorage:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._index = None
+        if "_min_size" not in state:  # pickled before the field existed
+            self._reset_min_size()
 
     @property
     def used_bytes(self) -> int:
         return self._used
+
+    @property
+    def free_bytes(self) -> float:
+        """Bytes left before capacity (``inf`` when unlimited)."""
+        if self.capacity_bytes is None:
+            return math.inf
+        return self.capacity_bytes - self._used
+
+    @property
+    def min_size_bytes(self) -> float:
+        """A lower bound on the size of every stored photo.
+
+        The smallest size this storage has held since it was created or
+        last :meth:`replace_all`-ed (``inf`` if none): O(1) to read, and
+        :meth:`remove` never raises it.
+        """
+        return self._min_size
 
     def fits(self, photo: Photo) -> bool:
         if self.capacity_bytes is None:
@@ -61,6 +84,8 @@ class NodeStorage:
             )
         self._photos[photo.photo_id] = photo
         self._used += photo.size_bytes
+        if photo.size_bytes < self._min_size:
+            self._min_size = photo.size_bytes
         if self._index is not None:
             value, heap = self._index
             heapq.heappush(heap, (value(photo), -photo.photo_id))
@@ -83,7 +108,11 @@ class NodeStorage:
             raise ValueError(f"collection of {total} B exceeds capacity {self.capacity_bytes} B")
         self._photos = {p.photo_id: p for p in photo_list}
         self._used = sum(p.size_bytes for p in self._photos.values())
+        self._reset_min_size()
         self._index = None
+
+    def _reset_min_size(self) -> None:
+        self._min_size = min((p.size_bytes for p in self._photos.values()), default=math.inf)
 
     def least_valuable(self, value: Callable[[Photo], Any]) -> Optional[Photo]:
         """The stored photo with the smallest ``(value(photo), -photo_id)``.

@@ -10,6 +10,12 @@ precise limitation the paper's expected-coverage selection removes.  The
 victim comes from the storage's eviction index
 (:meth:`~repro.dtn.storage.NodeStorage.least_valuable`), the one our
 scheme uses too.
+
+The descending order is what lets the shared spray loop stop at a
+refusal: a refused photo is worth no more than the receiver's least
+valuable one, and every later photo is worth no more than the refused
+one, so a receiver left with too little free room for any of the
+sender's photos refuses them all without evicting.
 """
 
 from __future__ import annotations

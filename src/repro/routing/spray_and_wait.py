@@ -9,7 +9,12 @@ it underperforms on crowdsourcing workloads (Section V-B).
 
 Storage policy: an arriving photo is dropped when the receiver is full
 (tail drop), matching a utility-blind protocol.  Transfers within a
-contact proceed in storage (FIFO) order under the byte budget.
+contact proceed in storage (FIFO) order under one shared byte budget,
+first from one peer to the other in full, then back.  A direction stops
+at the first refusal that is final: when the run draws no transfer
+faults and the receiver's free bytes are below every size the sender
+holds, no later photo can get in, so the rest of the scan is skipped
+(``_spray`` states the exactness argument).
 """
 
 from __future__ import annotations
@@ -52,15 +57,30 @@ class SprayAndWaitScheme(RoutingScheme):
 
     def on_contact(self, node_a: DTNNode, node_b: DTNNode, now: float, duration: float) -> None:
         budget = self.sim.byte_budget(duration)
-        used = 0
-        # Alternate directions photo-by-photo so neither side starves the
-        # shared contact bandwidth.
-        used = self._spray(node_a, node_b, budget, used)
+        # One direction at a time on one shared budget: a sprays to b in
+        # full, then b sprays to a on whatever bytes are left.
+        used = self._spray(node_a, node_b, budget, 0)
         self._spray(node_b, node_a, budget, used)
 
     def _spray(self, sender: DTNNode, receiver: DTNNode, budget, used: int) -> int:
         sender_copies = self._copies(sender)
         receiver_copies = self._copies(receiver)
+        # A refusal ends the call when it is final: no later photo of this
+        # call could change ``used``, any storage or the fault stream.  That
+        # holds when (1) ``transfer_survives`` draws nothing this run, so no
+        # draw is skipped, and (2) the receiver's free bytes, read after the
+        # refusal, are below ``smallest``, a lower bound on every size the
+        # sender holds.  Within one direction the sender's storage does not
+        # change, so every later photo has at least ``smallest`` bytes, and
+        # tail-drop ``accept`` only shrinks the receiver's free bytes, so
+        # none of them fits.  ModifiedSpray sends in descending individual
+        # coverage: its refusal means the receiver's least valuable photo is
+        # worth at least the refused one, hence at least every later one,
+        # so no later photo fits without eviction and each is refused
+        # without evicting anything.  Skips, budget breaks and refusals
+        # change neither ``used`` nor any storage.
+        final_refusals = not self.sim.transfers_can_fail
+        smallest = sender.storage.min_size_bytes
         for photo in self.transmit_order(sender):
             copies = sender_copies.get(photo.photo_id, 1)
             if copies <= 1:
@@ -73,6 +93,8 @@ class SprayAndWaitScheme(RoutingScheme):
                 used += photo.size_bytes
                 continue  # corrupted in flight: bytes spent, copies stay put
             if not self.accept(receiver, photo):
+                if final_refusals and receiver.storage.free_bytes < smallest:
+                    break
                 continue
             used += photo.size_bytes
             handed = copies // 2
@@ -97,7 +119,13 @@ class SprayAndWaitScheme(RoutingScheme):
         return node.storage.photos()
 
     def accept(self, receiver: DTNNode, photo: Photo) -> bool:
-        """Make room at *receiver* if the policy allows; True if stored ok."""
+        """Make room at *receiver* if the policy allows; True if stored ok.
+
+        An override must keep ``_spray``'s early exit exact: once it refuses
+        a photo and leaves the receiver less free room than any photo the
+        sender holds, it refuses every later photo of :meth:`transmit_order`
+        without changing any storage.
+        """
         if receiver.storage.fits(photo):
             receiver.storage.add(photo)
             return True

@@ -162,6 +162,39 @@ DISRUPTION_PLAN = FaultPlan(
     metadata_aging_s=20_000.0,
 )
 
+#: Transfer drops and truncations: a corrupted photo still spends its
+#: bytes on every scheme's transfer path.
+LOSSY_PLAN = FaultPlan(seed=7, transfer_drop_probability=0.3, truncation_probability=0.5)
+
+
+def full_scan_spray(scheme, sender, receiver, budget, used):
+    """The spray-family loop without its early exit: every candidate of
+    the sender's storage is offered, whatever the receiver refused before.
+    An oracle for ``SprayAndWaitScheme._spray``, which must match it."""
+    sender_copies = scheme._copies(sender)
+    receiver_copies = scheme._copies(receiver)
+    for photo in scheme.transmit_order(sender):
+        copies = sender_copies.get(photo.photo_id, 1)
+        if copies <= 1 or photo.photo_id in receiver.storage:
+            continue
+        if budget is not None and used + photo.size_bytes > budget:
+            break
+        if not scheme.sim.transfer_survives(photo):
+            used += photo.size_bytes
+            continue
+        if not scheme.accept(receiver, photo):
+            continue
+        used += photo.size_bytes
+        handed = copies // 2
+        sender_copies[photo.photo_id] = copies - handed
+        receiver_copies[photo.photo_id] = handed
+    return used
+
+
+def full_scan(scheme_cls):
+    """*scheme_cls* with :func:`full_scan_spray` as its spray loop."""
+    return type(f"FullScan{scheme_cls.__name__}", (scheme_cls,), {"_spray": full_scan_spray})
+
 
 def build_scenario(scale: float, fault_plan=None):
     """The Table-I scenario at *scale*, seed 0, under *fault_plan*."""

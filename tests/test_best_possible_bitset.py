@@ -26,7 +26,7 @@ from repro.service import session as session_module
 from repro.service.client import iter_scenario_events
 from repro.service.session import SelectionOutcome, ServiceSession
 
-from helpers import DISRUPTION_PLAN, build_scenario, result_digest
+from helpers import DISRUPTION_PLAN, LOSSY_PLAN, build_scenario, result_digest
 
 
 class SetBestPossibleScheme(RoutingScheme):
@@ -59,7 +59,7 @@ class SetBestPossibleScheme(RoutingScheme):
 PLANS = {
     "zero": FaultPlan(),
     "disrupted": DISRUPTION_PLAN,
-    "lossy": FaultPlan(seed=7, transfer_drop_probability=0.3, truncation_probability=0.5),
+    "lossy": LOSSY_PLAN,
 }
 
 

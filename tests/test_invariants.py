@@ -11,6 +11,12 @@ the substrate:
   contacts after its creation (checked through the BestPossible bound:
   no scheme delivers a photo the unconstrained flood cannot);
 * per-run determinism: the same scenario and scheme give identical results.
+
+The spray family (Spray-and-Wait, ModifiedSpray) is also checked after
+every contact, fault-free and under transfer drops: both directions of a
+contact spend no more than its byte budget, every node stays within its
+capacity, and the run equals the full-scan oracle's (the spray loop
+without its early exit).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from repro.routing.spray_and_wait import SprayAndWaitScheme
 from repro.traces.model import ContactRecord, ContactTrace
 from repro.workload.photos import PhotoArrival
 
-from helpers import MB, make_photo
+from helpers import LOSSY_PLAN, MB, full_scan, make_photo, result_digest
 
 PHOTO = 4 * MB
 
@@ -51,8 +57,11 @@ SCHEME_BUILDERS = [
 
 
 @st.composite
-def scenarios(draw):
-    """A small random scenario: contacts, photo arrivals, constraints."""
+def scenarios(draw, sizes=(PHOTO,), max_photos=8):
+    """A small random scenario: contacts, photo arrivals, constraints.
+
+    Photo sizes come from *sizes*; only a choice of several draws one.
+    """
     num_nodes = draw(st.integers(min_value=2, max_value=5))
     node_ids = list(range(1, num_nodes + 1))
     horizon = 2000.0
@@ -68,7 +77,7 @@ def scenarios(draw):
         duration = draw(st.floats(min_value=1.0, max_value=600.0))
         contacts.append(ContactRecord(time, a, b, duration))
 
-    num_photos = draw(st.integers(min_value=0, max_value=8))
+    num_photos = draw(st.integers(min_value=0, max_value=max_photos))
     arrivals: List[PhotoArrival] = []
     for _ in range(num_photos):
         time = draw(st.floats(min_value=0.0, max_value=horizon))
@@ -76,7 +85,10 @@ def scenarios(draw):
         x = draw(st.floats(min_value=-200.0, max_value=200.0))
         y = draw(st.floats(min_value=-200.0, max_value=200.0))
         orientation = draw(st.floats(min_value=0.0, max_value=359.0))
-        photo = make_photo(x, y, orientation, coverage_range=150.0, taken_at=time)
+        size = draw(st.sampled_from(sizes)) if len(sizes) > 1 else sizes[0]
+        photo = make_photo(
+            x, y, orientation, coverage_range=150.0, size_bytes=size, taken_at=time
+        )
         arrivals.append(PhotoArrival(time, owner, photo))
 
     storage_photos = draw(st.integers(min_value=1, max_value=4))
@@ -84,7 +96,7 @@ def scenarios(draw):
     return contacts, arrivals, storage_photos * PHOTO, unlimited
 
 
-def run_scenario(factory, contacts, arrivals, storage_bytes, unlimited):
+def run_scenario(factory, contacts, arrivals, storage_bytes, unlimited, fault_plan=None):
     simulation = Simulation(
         trace=ContactTrace(contacts),
         pois=PoIList.from_points([Point(0.0, 0.0), Point(100.0, 50.0)]),
@@ -96,6 +108,7 @@ def run_scenario(factory, contacts, arrivals, storage_bytes, unlimited):
             unlimited_contacts=unlimited,
             effective_angle=math.radians(30.0),
             sample_interval_s=500.0,
+            fault_plan=fault_plan,
         ),
         end_time_s=2100.0,
     )
@@ -168,3 +181,46 @@ class TestPhysicalInvariants:
         assert [s.point_coverage for s in first.samples] == [
             s.point_coverage for s in second.samples
         ]
+
+
+def contact_checked(scheme_cls):
+    """*scheme_cls* asserting the spray family's per-contact invariants and
+    logging, after each contact, the bytes spent and every node's photos."""
+
+    class Checked(scheme_cls):
+        def __init__(self) -> None:
+            super().__init__()
+            self.log = []
+
+        def on_contact(self, node_a, node_b, now, duration):
+            self.spent = 0
+            super().on_contact(node_a, node_b, now, duration)
+            budget = self.sim.byte_budget(duration)
+            assert budget is None or self.spent <= budget
+            for node in self.sim.nodes.values():
+                capacity = node.storage.capacity_bytes
+                assert capacity is None or node.storage.used_bytes <= capacity
+            held = {node_id: node.storage.photo_ids() for node_id, node in self.sim.nodes.items()}
+            self.log.append((self.spent, held))
+
+        def _spray(self, sender, receiver, budget, used):
+            # The second direction starts from the first's total.
+            self.spent = super()._spray(sender, receiver, budget, used)
+            return self.spent
+
+    return Checked
+
+
+class TestSprayContactInvariants:
+    @pytest.mark.parametrize("fault_plan", [None, LOSSY_PLAN], ids=["zero", "lossy"])
+    @pytest.mark.parametrize("scheme_cls", [SprayAndWaitScheme, ModifiedSprayScheme])
+    @given(scenario=scenarios(sizes=(1 * MB, 2 * MB, PHOTO), max_photos=24))
+    @settings(max_examples=25, deadline=None)
+    def test_budget_capacity_and_full_scan_agree(self, scheme_cls, fault_plan, scenario):
+        runs = []
+        for cls in (scheme_cls, full_scan(scheme_cls)):
+            simulation, result = run_scenario(
+                contact_checked(cls), *scenario, fault_plan=fault_plan
+            )
+            runs.append((simulation.scheme.log, result_digest(result)))
+        assert runs[0] == runs[1]

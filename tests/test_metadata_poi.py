@@ -26,12 +26,6 @@ class TestPhotoMetadata:
         with pytest.raises(ValueError):
             PhotoMetadata(Point(0, 0), 10.0, math.pi, 0.0)
 
-    def test_from_camera_derives_range(self):
-        metadata = PhotoMetadata.from_camera(
-            Point(0, 0), field_of_view=math.radians(60.0), orientation=0.0
-        )
-        assert metadata.coverage_range == pytest.approx(86.6, abs=0.1)
-
     def test_covers_uses_sector(self):
         metadata = PhotoMetadata(Point(0, 0), 100.0, math.radians(60.0), 0.0)
         assert metadata.covers(Point(50.0, 0.0))

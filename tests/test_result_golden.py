@@ -25,16 +25,14 @@ from repro.dtn.faults import FaultPlan
 from repro.experiments.runner import run_scenario
 from repro.routing import scheme_names
 
-from helpers import DISRUPTION_PLAN, build_scenario, result_digest
+from helpers import DISRUPTION_PLAN, LOSSY_PLAN, build_scenario, result_digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "results_seed0.json"
 
 PLANS = {
     "zero": FaultPlan(),
     "disrupted": DISRUPTION_PLAN,
-    # Transfer drops and truncations: pins that a corrupted photo still
-    # spends its bytes on every scheme's transfer path.
-    "lossy": FaultPlan(seed=7, transfer_drop_probability=0.3, truncation_probability=0.5),
+    "lossy": LOSSY_PLAN,
 }
 
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 
 from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
+from repro.dtn.faults import FaultPlan
 from repro.dtn.simulator import Simulation, SimulationConfig
+from repro.dtn.storage import NodeStorage
 from repro.routing import create_scheme
 from repro.routing.best_possible import BestPossibleScheme
 from repro.routing.coverage_scheme import CoverageSelectionScheme
@@ -19,7 +22,7 @@ from repro.routing.spray_and_wait import SprayAndWaitScheme
 from repro.traces.model import ContactRecord, ContactTrace
 from repro.workload.photos import PhotoArrival
 
-from helpers import MB, make_photo, photo_at_aspect
+from helpers import MB, full_scan, make_photo, photo_at_aspect
 
 THETA = math.radians(30.0)
 PHOTO = 4 * MB
@@ -34,6 +37,7 @@ def build_sim(
     unlimited=True,
     bandwidth=2 * MB,
     end_time=None,
+    fault_plan=None,
 ):
     trace = ContactTrace([ContactRecord(*c) for c in contacts])
     poi_list = pois if pois is not None else PoIList([PoI(location=Point(0.0, 0.0))])
@@ -43,6 +47,7 @@ def build_sim(
         unlimited_contacts=unlimited,
         effective_angle=THETA,
         sample_interval_s=3600.0,
+        fault_plan=fault_plan,
     )
     return Simulation(
         trace=trace,
@@ -307,6 +312,139 @@ class TestModifiedSpray:
         # utility metric never discounts the second for overlapping.
         delivered = {p.photo_id for p in sim.command_center.photos()}
         assert delivered == {dup1.photo_id, dup2.photo_id}
+
+
+def recording(scheme_cls):
+    """*scheme_cls* that logs each ``accept`` as (receiver id, photo id, stored)."""
+
+    class Recording(scheme_cls):
+        def __init__(self) -> None:
+            super().__init__()
+            self.offers = []
+
+        def accept(self, receiver, photo):
+            stored = super().accept(receiver, photo)
+            self.offers.append((receiver.node_id, photo.photo_id, stored))
+            return stored
+
+    return Recording
+
+
+class TestSprayEarlyExit:
+    """``_spray`` stops at a final refusal and at no other one."""
+
+    def test_refused_large_photo_does_not_block_a_smaller_one(self):
+        held = photo_at_aspect(Point(0.0, 0.0), aspect_deg=0.0)
+        large = photo_at_aspect(Point(0.0, 0.0), aspect_deg=90.0)
+        small = photo_at_aspect(Point(0.0, 0.0), aspect_deg=180.0, size_bytes=1 * MB)
+        scheme = recording(SprayAndWaitScheme)()
+        sim = build_sim(
+            scheme,
+            contacts=[(100.0, 1, 2, 600.0)],
+            arrivals=[arrival(0.0, 2, held), arrival(1.0, 1, large), arrival(2.0, 1, small)],
+            storage_bytes=6 * MB,  # node 2 has 2 MB free: room for small only
+        )
+        sim.run()
+        assert scheme.offers[:2] == [(2, large.photo_id, False), (2, small.photo_id, True)]
+        assert sim.nodes[2].storage.photo_ids() == [held.photo_id, small.photo_id]
+
+    @pytest.mark.parametrize("scheme_cls", [SprayAndWaitScheme, ModifiedSprayScheme])
+    def test_full_receiver_sees_only_the_first_photo(self, scheme_cls):
+        """A full receiver refuses the sender's first photo (for
+        ModifiedSpray its best, worth no more than the receiver's least
+        valuable one), and no later photo of that direction reaches
+        ``accept``."""
+        poi = Point(0.0, 0.0)
+        held = [photo_at_aspect(poi, aspect_deg=float(d)) for d in (0, 10)]
+        best = photo_at_aspect(poi, aspect_deg=20.0)
+        useless = make_photo(9000.0, 9000.0, 0.0)
+        scheme = recording(scheme_cls)()
+        sim = build_sim(
+            scheme,
+            contacts=[(100.0, 1, 2, 600.0)],
+            arrivals=[arrival(0.0, 2, p) for p in held]
+            + [arrival(1.0, 1, best), arrival(2.0, 1, useless)],
+            storage_bytes=2 * PHOTO,
+        )
+        sim.run()
+        assert [offer for offer in scheme.offers if offer[0] == 2] == [(2, best.photo_id, False)]
+        assert sim.nodes[2].storage.photo_ids() == [p.photo_id for p in held]
+
+    def test_modified_spray_receiver_with_room_takes_a_smaller_photo(self):
+        poi = Point(0.0, 0.0)
+        held = photo_at_aspect(poi, aspect_deg=0.0)
+        best = photo_at_aspect(poi, aspect_deg=20.0)
+        small = make_photo(9000.0, 9000.0, 0.0, size_bytes=1 * MB)
+        scheme = recording(ModifiedSprayScheme)()
+        sim = build_sim(
+            scheme,
+            contacts=[(100.0, 1, 2, 600.0)],
+            arrivals=[arrival(0.0, 2, held), arrival(1.0, 1, best), arrival(2.0, 1, small)],
+            storage_bytes=6 * MB,
+        )
+        sim.run()
+        assert scheme.offers[:2] == [(2, best.photo_id, False), (2, small.photo_id, True)]
+        assert sim.nodes[2].storage.photo_ids() == [held.photo_id, small.photo_id]
+
+    @pytest.mark.parametrize("scheme_cls", [SprayAndWaitScheme, ModifiedSprayScheme])
+    def test_lossy_plan_draws_once_per_candidate(self, scheme_cls):
+        """Under transfer drops a full receiver still costs one
+        ``transfer_survives`` draw per spray-phase candidate, exactly as
+        the full scan draws them."""
+        poi = Point(0.0, 0.0)
+        photos = {node: [photo_at_aspect(poi, float(10 * node + d)) for d in range(3)] for node in (1, 2)}
+        arrivals = [arrival(0.0, node, p) for node, held in photos.items() for p in held]
+
+        def run(cls):
+            sim = build_sim(
+                cls(),
+                contacts=[(100.0, 1, 2, 600.0)],
+                arrivals=arrivals,
+                storage_bytes=3 * PHOTO,
+                fault_plan=FaultPlan(transfer_drop_probability=0.3),
+            )
+            drawn = []
+            survives = sim.transfer_survives
+
+            def counted(photo=None):
+                drawn.append(photo.photo_id)
+                return survives(photo)
+
+            sim.transfer_survives = counted
+            result = sim.run()
+            held = {node_id: node.storage.photo_ids() for node_id, node in sim.nodes.items()}
+            return drawn, held, result.fault_counters.as_dict()
+
+        drawn, held, counters = run(scheme_cls)
+        assert sorted(drawn) == sorted(p.photo_id for p in photos[1] + photos[2])
+        assert (drawn, held, counters) == run(full_scan(scheme_cls))
+
+    def test_storage_pickled_without_the_bound_restores_it(self):
+        store = NodeStorage(10 * MB)
+        for size in (4 * MB, 2 * MB, 3 * MB):
+            store.add(make_photo(0.0, 0.0, 0.0, size_bytes=size))
+        assert store.min_size_bytes == 2 * MB
+        assert pickle.loads(pickle.dumps(store)).min_size_bytes == 2 * MB
+
+        state = store.__getstate__()
+        del state["_min_size"]
+        restored = NodeStorage.__new__(NodeStorage)
+        restored.__setstate__(state)
+        assert restored.min_size_bytes == 2 * MB
+        assert restored.free_bytes == 1 * MB
+
+    def test_bound_survives_removal_and_resets_on_replace_all(self):
+        store = NodeStorage(None)
+        assert store.min_size_bytes == math.inf
+        small = make_photo(0.0, 0.0, 0.0, size_bytes=1 * MB)
+        large = make_photo(0.0, 0.0, 0.0, size_bytes=4 * MB)
+        store.add(small)
+        store.add(large)
+        store.remove(small.photo_id)
+        assert store.min_size_bytes == 1 * MB  # still a lower bound
+        store.replace_all([large])
+        assert store.min_size_bytes == 4 * MB
+        assert store.free_bytes == math.inf
 
 
 class TestBestPossible:
